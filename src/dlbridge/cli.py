@@ -8,9 +8,7 @@ verify, generate.  Exit codes: 0 pass, 1 check failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import atexit
 import json
-import os
 import sys
 import warnings
 from dataclasses import replace
@@ -18,7 +16,7 @@ from pathlib import Path
 
 from . import fol
 from .defaults import EncodingError, ExtensionEngine, encode
-from .dleval import SearchCapExceeded, classify, get_context
+from .dleval import classify, get_context
 from .generator import GeneratorConfig, generate_texts
 from .parser import (
     ParseError,
@@ -33,7 +31,6 @@ from .parser import (
 )
 from .semantics import (
     SEMANTICS,
-    HerbrandCapExceeded,
     enumerate_answer_sets,
     lfp_gamma,
     strong_transform,
@@ -41,7 +38,7 @@ from .semantics import (
 )
 from .syntax import Ontology, RuleAtom, Signature, ValidationError
 from .transforms import pi, pi_prime, pi_star, sigma
-from .verify import CHECKS, report_table, run_suite
+from .verify import CAP_ERRORS, CHECKS, report_table, run_suite
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
 
@@ -365,18 +362,8 @@ def build_parser():
     return ap
 
 
-def _setup_cache():
-    cache_dir = os.environ.get("DLBRIDGE_CACHE_DIR")
-    if not cache_dir:
-        return
-    path = Path(cache_dir) / "entailment-cache.pickle"
-    fol.load_persistent_cache(path)
-    atexit.register(fol.save_persistent_cache, path)
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    _setup_cache()
     if args.trace:
         fol.DEBUG_CROSSCHECK = True
     try:
@@ -387,7 +374,7 @@ def main(argv=None):
     except ValidationError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (HerbrandCapExceeded, SearchCapExceeded, fol.UniverseTooLarge) as e:
+    except CAP_ERRORS as e:
         print(f"resource cap exceeded: {e}", file=sys.stderr)
         return EXIT_CAP
     except FileNotFoundError as e:

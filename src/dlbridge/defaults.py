@@ -24,8 +24,8 @@ from itertools import product
 
 from . import fol
 from .dleval import as_context, classify
-from .fol import Atom, FAtom, TheoryRep, TRUE, conj, implies, neg, theory_equal
-from .ontology import query_formula
+from .fol import Atom, FAtom, TheoryRep, TRUE, conj, implies, neg
+from .ontology import o_consistent, query_formula
 from .syntax import (
     Default,
     DefaultTheory,
@@ -122,7 +122,7 @@ def encode(program_or_ctx, kind: str) -> DefaultTheory:
                 "captures strong answer sets after the pi rewrite",
                 stacklevel=2,
             )
-        if kind == "tau_star" and not fol.consistent(list(ctx.grounded.formulas)):
+        if kind == "tau_star" and not o_consistent(ctx.grounded):
             raise EncodingError("tau_star is undefined on inconsistent ontologies")
         background = tau_background(ctx)
         defaults = tuple(_rule_default(r, ctx, False) for r in ctx.program.rules)
@@ -150,30 +150,9 @@ class ExtensionEngine:
 
     def __init__(self, dt: DefaultTheory):
         self.dt = dt
-        all_formulas = list(dt.background)
-        for d in dt.defaults:
-            all_formulas.append(d.premise)
-            all_formulas.extend(d.justifications)
-            all_formulas.append(d.conclusion)
-        self._eq_extra = ()
-        if dt.true_equality and fol.mentions_eq(all_formulas):
-            domain = fol.constants_of(all_formulas)
-            preds = {
-                p for p in fol.predicates_of(all_formulas) if p[0] != fol.EQ and p[1] > 0
-            }
-            self._eq_extra = tuple(fol.eq_axioms(domain, preds))
-        self.universe = fol.universe_for(all_formulas + list(self._eq_extra))
-        self._entail_memo = {}
-
-    def _entails(self, gens, query) -> bool:
-        key = (gens, query)
-        hit = self._entail_memo.get(key)
-        if hit is None:
-            hit = fol.entails(
-                list(gens) + list(self._eq_extra), query, universe=self.universe
-            )
-            self._entail_memo[key] = hit
-        return hit
+        # candidates carry W themselves; the compiled background is only
+        # the congruence axioms that true equality needs
+        self.theory = fol.CompiledTheory((), equality=dt.true_equality)
 
     def gamma_closure(self, candidate) -> TheoryRep:
         """⋃E_i of iteration (E_0 = W; fire on E_i ⊢ premise and no ¬β in
@@ -182,7 +161,7 @@ class ExtensionEngine:
         admissible = [
             d
             for d in self.dt.defaults
-            if all(not self._entails(s_gens, neg(b)) for b in d.justifications)
+            if all(not self.theory.entails(s_gens, neg(b)) for b in d.justifications)
         ]
         gens = list(self.dt.background)
         gens_key = frozenset(gens)
@@ -191,7 +170,7 @@ class ExtensionEngine:
             new = [
                 d
                 for d in admissible
-                if d not in fired and self._entails(gens_key, d.premise)
+                if d not in fired and self.theory.entails(gens_key, d.premise)
             ]
             if not new:
                 return TheoryRep(tuple(gens))
@@ -204,7 +183,8 @@ class ExtensionEngine:
 
     def theory_equal(self, t1, t2) -> bool:
         g1, g2 = frozenset(_generators(t1)), frozenset(_generators(t2))
-        return self._entails(g1, conj(list(g2))) and self._entails(g2, conj(list(g1)))
+        entails = self.theory.entails
+        return entails(g1, conj(list(g2))) and entails(g2, conj(list(g1)))
 
     def is_extension(self, candidate) -> bool:
         return self.theory_equal(self.gamma_closure(candidate), candidate)
@@ -271,7 +251,7 @@ class ExtensionEngine:
     def extension_to_interp(self, candidate, herbrand_base):
         gens = frozenset(_generators(candidate))
         return frozenset(
-            a for a in herbrand_base if self._entails(gens, rule_atom_formula(a))
+            a for a in herbrand_base if self.theory.entails(gens, rule_atom_formula(a))
         )
 
 

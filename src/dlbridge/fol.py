@@ -2,16 +2,27 @@
 
 Everything here is propositional: atoms are ground first-order atoms
 (concept atoms S(d), role atoms R(d,e), equality atoms d == e, and rule
-atoms), formulas are finite trees over them, and entailment is decided
-either by an exhaustive bit-parallel valuation sweep or by a CNF
-refutation search (DPLL).  The sweep is the oracle; the refutation
-backend takes over on universes too large to sweep.
+atoms), formulas are finite trees over them.
 
-Equality is *not* built in.  Callers that need it add congruence axioms
-(`eq_axioms`) for a chosen predicate set; `entails_true_equality` uses
-Fitting's reduction (replacement for every predicate present), and
-`quotient_entails` re-decides the same question by enumerating
-equivalence-relation quotients of the domain, as an independent oracle.
+Every entailment and consistency question in the package has the same
+shape: does a fixed background plus a few extra formulas entail a query?
+All of them go through one path, `CompiledTheory`.  It is built once per
+background (a grounded ontology, the congruence axioms of a default
+theory, or the axioms of a single `entails` call), fixes an AtomUniverse
+and the background's satisfying-valuation mask, and answers
+`entails(extra, query)` and `consistent(extra)` with one memo.  On
+universes of at most AUTO_SWEEP_LIMIT atoms the answer is a bit-parallel
+valuation sweep over that mask; larger universes go to a CNF refutation
+search (DPLL) through `entails_refutation`.  With DEBUG_CROSSCHECK set,
+every swept answer is re-decided by refutation.
+
+Equality is *not* built in.  A CompiledTheory built with `equality=True`
+adds congruence axioms (`congruence_axioms`, Fitting's reduction:
+replacement for every predicate present) as soon as an == atom occurs in
+its universe; `entails_true_equality` is that path on a throwaway
+instance, and `quotient_entails` re-decides the same question by
+enumerating equivalence-relation quotients of the domain, as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -22,10 +33,10 @@ from typing import Iterable
 EQ = "=="  # predicate name reserved for equality atoms
 
 DEFAULT_EXHAUSTIVE_CAP = 24
-AUTO_SWEEP_LIMIT = 18  # above this, "auto" switches to the refutation backend
+AUTO_SWEEP_LIMIT = 18  # larger universes go to the refutation backend
 
-# When true, every entails/consistent call cross-checks the two backends
-# and the entails/consistent duality.  Enabled by tests and --trace.
+# When true, every swept answer is re-decided by the refutation backend and
+# a disagreement raises BackendDisagreement.  Enabled by tests and --trace.
 DEBUG_CROSSCHECK = False
 
 # Optional sink (callable taking a str) for DIMACS-like clause dumps of
@@ -35,6 +46,10 @@ CLAUSE_DUMP = None
 
 class UniverseTooLarge(Exception):
     """Exhaustive mode was requested beyond the configured atom cap."""
+
+
+class BackendDisagreement(Exception):
+    """The sweep and the refutation backend gave different answers."""
 
 
 @dataclass(frozen=True)
@@ -206,15 +221,6 @@ class AtomUniverse:
     def __contains__(self, a):
         return a in self.index
 
-    @classmethod
-    def from_formulas(cls, formulas, extra_atoms=()):
-        acc = {}
-        for f in formulas:
-            formula_atoms(f, acc)
-        for a in extra_atoms:
-            acc.setdefault(a, None)
-        return cls(acc)
-
     def covers(self, formulas):
         return all(a in self.index for a in atoms_of(formulas))
 
@@ -266,19 +272,10 @@ class AtomUniverse:
         return m
 
 
-_universe_pool = {}
-
-
 def universe_for(formulas, extra_atoms=()):
-    """Shared AtomUniverse for this atom set (masks cached across calls)."""
-    key = frozenset(atoms_of(formulas)) | frozenset(extra_atoms)
-    u = _universe_pool.get(key)
-    if u is None:
-        if len(_universe_pool) > 4096:
-            _universe_pool.clear()
-        u = AtomUniverse(sorted(key, key=lambda a: (a.name, a.args)))
-        _universe_pool[key] = u
-    return u
+    """AtomUniverse over the atoms of formulas plus extra_atoms, sorted."""
+    atoms = set(atoms_of(formulas)) | set(extra_atoms)
+    return AtomUniverse(sorted(atoms, key=lambda a: (a.name, a.args)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,25 +291,19 @@ def _sat_mask(axioms, universe):
     return m
 
 
+def _sweep_entails(sat, query, universe):
+    return sat & ~universe.mask(query) & universe.full_mask == 0
+
+
 def entails_exhaustive(axioms, query, universe=None, cap=DEFAULT_EXHAUSTIVE_CAP):
-    if universe is None or not universe.covers(list(axioms) + [query]):
+    """Sweep oracle; a given universe must cover axioms and query."""
+    if universe is None:
         universe = universe_for(list(axioms) + [query])
     if len(universe) > cap:
         raise UniverseTooLarge(
             f"universe has {len(universe)} atoms, exhaustive cap is {cap}"
         )
-    sat = _sat_mask(axioms, universe)
-    return sat & ~universe.mask(query) & universe.full_mask == 0
-
-
-def consistent_exhaustive(axioms, universe=None, cap=DEFAULT_EXHAUSTIVE_CAP):
-    if universe is None or not universe.covers(list(axioms)):
-        universe = universe_for(list(axioms))
-    if len(universe) > cap:
-        raise UniverseTooLarge(
-            f"universe has {len(universe)} atoms, exhaustive cap is {cap}"
-        )
-    return _sat_mask(axioms, universe) != 0
+    return _sweep_entails(_sat_mask(axioms, universe), query, universe)
 
 
 # ---------------------------------------------------------------------------
@@ -440,96 +431,89 @@ def _refutation_sat(formulas, universe):
 
 
 def entails_refutation(axioms, query, universe=None):
+    """Refutation backend; a given universe must cover axioms and query."""
     formulas = list(axioms) + [neg(query)]
-    if universe is None or not universe.covers(formulas):
+    if universe is None:
         universe = universe_for(formulas)
     return not _refutation_sat(formulas, universe)
-
-
-def consistent_refutation(axioms, universe=None):
-    formulas = list(axioms)
-    if universe is None or not universe.covers(formulas):
-        universe = universe_for(formulas)
-    return _refutation_sat(formulas, universe)
-
-
-# ---------------------------------------------------------------------------
-# Optional persistent memo (spilled to DLBRIDGE_CACHE_DIR by the CLI)
-
-_persistent_memo = None
-
-
-def load_persistent_cache(path):
-    global _persistent_memo
-    import pickle
-
-    try:
-        with open(path, "rb") as fh:
-            _persistent_memo = pickle.load(fh)
-    except (OSError, EOFError, pickle.PickleError):
-        _persistent_memo = {}
-
-
-def save_persistent_cache(path, limit=200_000):
-    if _persistent_memo is None:
-        return
-    import pickle
-
-    path.parent.mkdir(parents=True, exist_ok=True)
-    trimmed = dict(list(_persistent_memo.items())[:limit])
-    with open(path, "wb") as fh:
-        pickle.dump(trimmed, fh)
 
 
 # ---------------------------------------------------------------------------
 # Front door
 
 
-def entails(axioms, query, universe=None, cap=DEFAULT_EXHAUSTIVE_CAP, backend="auto"):
+class CompiledTheory:
+    """A fixed background compiled once for repeated entailment questions.
+
+    The compiled state is the background plus (with `equality`, once an ==
+    atom occurs) its congruence axioms, the AtomUniverse over their atoms,
+    and, when that universe is small enough to sweep, the mask of the
+    valuations satisfying them.  A call whose extra formulas or query
+    mention an atom outside the universe recompiles over the union; the
+    state is replaced as one tuple, so concurrent callers never pair a
+    universe with another universe's mask.  Answers are memoized for the
+    life of the instance.
+    """
+
+    def __init__(self, background=(), domain=None, equality=False):
+        self.background = tuple(background)
+        self.domain = domain
+        self.equality = equality
+        self._compiled = None  # (axioms, universe, mask or None)
+        self._memo = {}
+
+    def entails(self, extra, query) -> bool:
+        """True iff background ∪ extra ⊨ query."""
+        extra = frozenset(extra)
+        key = (extra, query)
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = self._decide(extra, query)
+        return hit
+
+    def consistent(self, extra=()) -> bool:
+        """True iff some valuation satisfies background ∪ extra."""
+        return not self.entails(extra, FALSE)
+
+    def _compile(self, compiled, formulas):
+        known = compiled[1].atoms if compiled else atoms_of(self.background)
+        atoms = [*known, *atoms_of(formulas)]
+        axioms = list(self.background)
+        if self.equality:
+            axioms += congruence_axioms(atoms, self.domain)
+        universe = universe_for(axioms, atoms)
+        mask = _sat_mask(axioms, universe) if len(universe) <= AUTO_SWEEP_LIMIT else None
+        self._compiled = compiled = (axioms, universe, mask)
+        return compiled
+
+    def _decide(self, extra, query):
+        call = [*extra, query]
+        compiled = self._compiled
+        if compiled is None or not compiled[1].covers(call):
+            compiled = self._compile(compiled, call)
+        axioms, universe, sat = compiled
+        if sat is None:
+            return entails_refutation(axioms + list(extra), query, universe)
+        for f in extra:
+            sat &= universe.mask(f)
+        result = _sweep_entails(sat, query, universe)
+        if DEBUG_CROSSCHECK and result != entails_refutation(
+            axioms + list(extra), query, universe
+        ):
+            raise BackendDisagreement(
+                f"sweep says {result}, refutation says {not result} for query {query}"
+            )
+        return result
+
+
+def entails(axioms, query):
     """True iff every valuation satisfying all axioms satisfies query."""
-    axioms = list(axioms)
-    memo_key = None
-    if _persistent_memo is not None:
-        memo_key = (frozenset(axioms), query)
-        hit = _persistent_memo.get(memo_key)
-        if hit is not None:
-            return hit
-    if universe is None or not universe.covers(axioms + [query]):
-        universe = universe_for(axioms + [query])
-    if backend == "exhaustive":
-        result = entails_exhaustive(axioms, query, universe, cap)
-    elif backend == "refutation":
-        result = entails_refutation(axioms, query, universe)
-    else:
-        if len(universe) <= min(cap, AUTO_SWEEP_LIMIT):
-            result = entails_exhaustive(axioms, query, universe, cap)
-        else:
-            result = entails_refutation(axioms, query, universe)
-    if DEBUG_CROSSCHECK and len(universe) <= AUTO_SWEEP_LIMIT:
-        assert result == entails_refutation(axioms, query, universe)
-        assert result != consistent_exhaustive(axioms + [neg(query)], universe, cap=AUTO_SWEEP_LIMIT)
-    if memo_key is not None:
-        _persistent_memo[memo_key] = result
-    return result
+    return CompiledTheory(axioms).entails((), query)
 
 
-def consistent(axioms, universe=None, cap=DEFAULT_EXHAUSTIVE_CAP, backend="auto"):
+def consistent(axioms):
     """True iff some valuation satisfies all axioms."""
-    axioms = list(axioms)
-    if universe is None or not universe.covers(axioms):
-        universe = universe_for(axioms)
-    if backend == "exhaustive":
-        result = consistent_exhaustive(axioms, universe, cap)
-    elif backend == "refutation":
-        result = consistent_refutation(axioms, universe)
-    else:
-        if len(universe) <= min(cap, AUTO_SWEEP_LIMIT):
-            result = consistent_exhaustive(axioms, universe, cap)
-        else:
-            result = consistent_refutation(axioms, universe)
-    if DEBUG_CROSSCHECK and len(universe) <= AUTO_SWEEP_LIMIT:
-        assert result == consistent_refutation(axioms, universe)
-    return result
+    return CompiledTheory(axioms).consistent()
 
 
 # ---------------------------------------------------------------------------
@@ -563,19 +547,20 @@ def _tuples(domain, arity):
     return [(d, e) for d in domain for e in domain]
 
 
-def mentions_eq(formulas):
-    return any(a.name == EQ for a in atoms_of(formulas))
+def congruence_axioms(atoms, domain=None):
+    """`eq_axioms` for every predicate among the atoms, or none when no ==
+    atom occurs.  The domain defaults to the constants of the atoms."""
+    atoms = list(atoms)
+    if not any(a.name == EQ for a in atoms):
+        return []
+    if not domain:
+        domain = dict.fromkeys(c for a in atoms for c in a.args)
+    return eq_axioms(domain, {(a.name, len(a.args)) for a in atoms if a.name != EQ and a.args})
 
 
-def entails_true_equality(axioms, query, domain=None, **kw):
+def entails_true_equality(axioms, query, domain=None):
     """Entailment with == read as true identity (Fitting's reduction)."""
-    axioms = list(axioms)
-    if not mentions_eq(axioms + [query]):
-        return entails(axioms, query, **kw)
-    if domain is None:
-        domain = constants_of(axioms + [query])
-    preds = {p for p in predicates_of(axioms + [query]) if p[0] != EQ and p[1] > 0}
-    return entails(axioms + eq_axioms(domain, preds), query, **kw)
+    return CompiledTheory(axioms, domain, equality=True).entails((), query)
 
 
 def partitions(items):
@@ -648,18 +633,12 @@ class TheoryRep:
     def of(cls, formulas):
         return cls(tuple(formulas))
 
-    def entails(self, f, true_equality=False, **kw):
-        gens = list(self.generators)
-        if true_equality:
-            return entails_true_equality(gens, f, **kw)
-        return entails(gens, f, **kw)
 
-
-def theory_equal(t1: TheoryRep, t2: TheoryRep, true_equality=False, **kw) -> bool:
+def theory_equal(t1: TheoryRep, t2: TheoryRep, true_equality=False) -> bool:
     """Mutual entailment of generator sets."""
     g1, g2 = conj(list(t1.generators)), conj(list(t2.generators))
     if true_equality:
-        return entails_true_equality(list(t2.generators), g1, **kw) and entails_true_equality(
-            list(t1.generators), g2, **kw
+        return entails_true_equality(list(t2.generators), g1) and entails_true_equality(
+            list(t1.generators), g2
         )
-    return entails(list(t2.generators), g1, **kw) and entails(list(t1.generators), g2, **kw)
+    return entails(list(t2.generators), g1) and entails(list(t1.generators), g2)

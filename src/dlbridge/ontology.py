@@ -1,13 +1,13 @@
 """Finite-domain semantics for the DL fragment.
 
 Axioms are grounded over the declared individuals (closed domain) into
-GroundFormulas; dl-queries are answered classically by the fo-kernel.
-Equality is handled per mode: "congruence" adds replacement axioms for
-the predicates occurring in the entailment call (which, over the pure DL
-language, coincides with true equality by Fitting's theorem);
-"true-equality" does the same but is also applied by callers that mix
-rule atoms into formulas.  Equality machinery is only materialized when
-something in the call actually mentions ==.
+GroundFormulas; dl-queries are answered classically by the fo-kernel,
+through one fol.CompiledTheory per grounded ontology.  That theory reads
+== through replacement axioms for every predicate it has seen (which, over
+the pure DL language, coincides with true equality by Fitting's theorem),
+materialized only once the ontology or a call mentions ==.  Both equality
+modes answer entailment this way; "true-equality" also keeps == atoms live
+in the grounding of one-of concepts and number restrictions.
 """
 
 from __future__ import annotations
@@ -173,10 +173,11 @@ class GroundedOntology:
     domain: tuple
     equality_mode: str  # "congruence" | "true-equality"
     eq_live: bool
-    universe: fol.AtomUniverse
 
     def __post_init__(self):
-        self._entail_cache = {}
+        self.theory = fol.CompiledTheory(self.formulas, self.domain, equality=True)
+        # one formula per dl-query, so the theory's memo keys share it
+        self._query_formulas = {}
 
 
 def ground(onto: Ontology, signature=None, equality_mode="congruence") -> GroundedOntology:
@@ -189,8 +190,7 @@ def ground(onto: Ontology, signature=None, equality_mode="congruence") -> Ground
     formulas = []
     for ax in onto.axioms:
         formulas.extend(f for f in axiom_formulas(ax, domain, eq_live) if f is not TRUE)
-    universe = fol.AtomUniverse.from_formulas(formulas)
-    return GroundedOntology(formulas, domain, equality_mode, eq_live, universe)
+    return GroundedOntology(formulas, domain, equality_mode, eq_live)
 
 
 def query_formula(g: GroundedOntology, q: DLQuery):
@@ -253,30 +253,14 @@ def _ratom(pred, args):
     return RuleAtom(pred, tuple(args))
 
 
-def o_entails(g: GroundedOntology, update, query: DLQuery, cap=fol.DEFAULT_EXHAUSTIVE_CAP):
-    """O(I;λ) ⊨ Q, with equality per the grounding's mode."""
-    key = (update, query)
-    hit = g._entail_cache.get(key)
-    if hit is not None:
-        return hit
-    qf = query_formula(g, query)
-    axioms = g.formulas + [update_formula(l) for l in sorted(update, key=str)]
-    axioms = axioms + _eq_axioms_only(g, axioms, qf)
-    result = fol.entails(axioms, qf, cap=cap)
-    g._entail_cache[key] = result
-    return result
+def o_entails(g: GroundedOntology, update, query: DLQuery):
+    """O(I;λ) ⊨ Q, with == read through congruence axioms."""
+    qf = g._query_formulas.get(query)
+    if qf is None:
+        qf = g._query_formulas[query] = query_formula(g, query)
+    return g.theory.entails(map(update_formula, update), qf)
 
 
-def _eq_axioms_only(g, axioms, qf):
-    all_formulas = axioms + [qf]
-    if not fol.mentions_eq(all_formulas):
-        return []
-    preds = {p for p in fol.predicates_of(all_formulas) if p[0] != fol.EQ and p[1] > 0}
-    domain = g.domain or fol.constants_of(all_formulas)
-    return fol.eq_axioms(domain, preds)
-
-
-def o_consistent(g: GroundedOntology, update=frozenset(), cap=fol.DEFAULT_EXHAUSTIVE_CAP):
-    axioms = g.formulas + [update_formula(l) for l in sorted(update, key=str)]
-    axioms = axioms + _eq_axioms_only(g, axioms, TRUE)
-    return fol.consistent(axioms, cap=cap)
+def o_consistent(g: GroundedOntology, update=frozenset()):
+    """O(I;λ) is consistent, with == read through congruence axioms."""
+    return g.theory.consistent(map(update_formula, update))

@@ -191,30 +191,18 @@ def _proper_subsets(items):
         yield from combinations(items, k)
 
 
-def enumerate_answer_sets(program_or_ctx, kind, cap=DEFAULT_HB_CAP, prune=False):
-    """All answer sets of the given kind, lexicographic in the HB order.
-
-    With prune=True, semantics that require model candidates (flp, wws,
-    sws) only run the fixpoint check on models; results must (and do, see
-    the property suite) agree with the plain sweep.
-    """
+def enumerate_answer_sets(program_or_ctx, kind, cap=DEFAULT_HB_CAP):
+    """All answer sets of the given kind, lexicographic in the HB order."""
     ctx = as_context(program_or_ctx)
     if len(ctx.hb) > cap:
         raise HerbrandCapExceeded(
             f"|HB_P| = {len(ctx.hb)} exceeds the enumeration cap {cap}"
         )
-    key = (kind, prune)
-    hit = ctx._answer_cache.get(key)
+    hit = ctx._answer_cache.get(kind)
     if hit is not None:
         return hit
-    out = []
-    for interp in _candidates(ctx.hb):
-        if prune and kind in ("flp", "wws", "sws") and not is_model(interp, ctx):
-            continue
-        if is_answer_set(ctx, interp, kind):
-            out.append(interp)
-    out = tuple(out)
-    ctx._answer_cache[key] = out
+    out = tuple(interp for interp in _candidates(ctx.hb) if is_answer_set(ctx, interp, kind))
+    ctx._answer_cache[kind] = out
     return out
 
 

@@ -13,11 +13,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .defaults import ExtensionEngine, encode, rule_atom_formula
-from .dleval import classify, get_context
-from .fol import TheoryRep, consistent, neg
+from .dleval import SearchCapExceeded, classify, get_context
+from .fol import TheoryRep, UniverseTooLarge, neg
 from .generator import GeneratorConfig, instance_stream
+from .ontology import o_consistent
 from .parser import serialize_program
-from .semantics import enumerate_answer_sets
+from .semantics import HerbrandCapExceeded, enumerate_answer_sets
 from .syntax import DLProgram
 from .transforms import lift_pi, lift_sigma, pi, pi_prime, pi_star, project, sigma
 
@@ -53,8 +54,8 @@ class Skip(Exception):
     pass
 
 
-def _ontology_consistent(ctx):
-    return consistent(list(ctx.grounded.formulas))
+# resource caps: an instance that hits one is reported as a capped skip
+CAP_ERRORS = (HerbrandCapExceeded, SearchCapExceeded, UniverseTooLarge)
 
 
 def _extension_interps(dt, hb):
@@ -126,7 +127,7 @@ def check_P6(ctx):
 
 def check_T5(ctx):
     """tau captures strong answer sets (consistent O; via pi when DL? ≠ ∅)."""
-    if not _ontology_consistent(ctx):
+    if not o_consistent(ctx.grounded):
         raise Skip("needs a consistent ontology")
     if classify(ctx).report.nonmonotonic_atoms:
         res = pi(ctx)
@@ -175,7 +176,7 @@ def check_T6(ctx):
 
 def check_T8(ctx):
     """tau_star captures weakly well-supported answer sets (consistent O)."""
-    if not _ontology_consistent(ctx):
+    if not o_consistent(ctx.grounded):
         raise Skip("needs a consistent ontology")
     dt = _quiet_encode(ctx, "tau_star")
     interps, eng = _extension_interps(dt, ctx.hb)
@@ -212,7 +213,7 @@ def check_L14(ctx):
 
 
 def check_P2(ctx):
-    if _ontology_consistent(ctx):
+    if o_consistent(ctx.grounded):
         raise Skip("needs an inconsistent ontology")
     strong = enumerate_answer_sets(ctx, "strong")
     weak = enumerate_answer_sets(ctx, "weak")
@@ -338,6 +339,9 @@ def run_check(check_id: str, program: DLProgram, instance_id: str = "<inline>"):
         ok, detail = spec.fn(ctx)
     except Skip as s:
         return CheckResult(check_id, instance_id, True, skipped=True, reason=str(s))
+    except CAP_ERRORS as e:
+        return CheckResult(check_id, instance_id, True, skipped=True,
+                           reason=f"resource cap exceeded: {e}")
     if ok:
         return CheckResult(check_id, instance_id, True)
     detail["program"] = serialize_program(program)

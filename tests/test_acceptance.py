@@ -137,8 +137,8 @@ def test_criterion_1_golden_examples():
         exts = eng.enumerate_extensions()
         assert len(exts) == 1
         gens = frozenset(exts[0].theory.generators)
-        assert eng._entails(gens, atom("S", "b"))
-        assert not eng._entails(gens, rule_atom_formula(PA))
+        assert eng.theory.entails(gens, atom("S", "b"))
+        assert not eng.theory.entails(gens, rule_atom_formula(PA))
         assert answers(unreached, "strong") == [[]]
 
         # tau mismatch on the chained program, fixed by the pi rewrite
@@ -158,7 +158,7 @@ def test_criterion_1_golden_examples():
         assert projections(bad, "tau_prime") == [["p(a)"]]
         eng = ext_engine(bad, "tau")
         exts = eng.enumerate_extensions()
-        assert len(exts) == 1 and eng._entails(
+        assert len(exts) == 1 and eng.theory.entails(
             frozenset(exts[0].theory.generators), fol.FALSE
         )
 
@@ -179,7 +179,7 @@ def test_criterion_1_golden_examples():
         dt = quiet_encode(div, "tau_star")
         eng = ExtensionEngine(dt)
         (d_rule,) = [d for d in dt.defaults if d.conclusion == rule_atom_formula(PA)]
-        assert not eng._entails(frozenset(dt.background), d_rule.premise)
+        assert not eng.theory.entails(frozenset(dt.background), d_rule.premise)
         assert answers(div, "wws") == [["p(a)"]]
         assert projections(div, "tau_star") == [["p(a)"]]
 

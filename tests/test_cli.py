@@ -138,6 +138,17 @@ def test_verify_failure_exit_code_and_schema(workdir, capsys):
     assert "counterexample" in record and "program" in record["counterexample"]
 
 
+def test_verify_reports_a_capped_file_and_keeps_the_rest(workdir, capsys):
+    # 18 distinct facts give |HB| = 18, above the enumeration cap of 16
+    (workdir / "big.dlp").write_text("".join(f"p(c{i}).\n" for i in range(18)))
+    code = main(["verify", "--check", "SW", "--files", str(workdir / "prog.dlp"),
+                 str(workdir / "big.dlp"), "--json"])
+    assert code == 3
+    small, big = json.loads(capsys.readouterr().out)
+    assert small["pass"] is True and "skipped" not in small
+    assert big["skipped"] is True and "cap" in big["reason"]
+
+
 def test_verify_workers_flag(workdir, capsys):
     assert main(["verify", "--check", "SW", "--count", "6", "--seed", "4", "--workers", "2"]) == 0
 
@@ -178,14 +189,3 @@ def test_generate_deterministic(workdir):
     for name in ("instance_0000.dlp", "instance_0000.onto", "instance_0001.dlp"):
         assert (out1 / name).read_text() == (out2 / name).read_text()
     assert main(["answersets", "--semantics", "weak", str(out1 / "instance_0001.dlp")]) == 0
-
-
-def test_cache_dir_roundtrip(workdir, monkeypatch, capsys):
-    cache = workdir / "cache"
-    monkeypatch.setenv("DLBRIDGE_CACHE_DIR", str(cache))
-    from dlbridge import fol
-
-    assert main(["answersets", "--semantics", "weak", str(workdir / "prog.dlp")]) == 0
-    fol.save_persistent_cache(cache / "entailment-cache.pickle")
-    assert (cache / "entailment-cache.pickle").exists()
-    fol._persistent_memo = None

@@ -20,6 +20,7 @@ from dlbridge.defaults import (
 from dlbridge.dleval import get_context
 from dlbridge.fol import Atom, FAtom, TRUE, TheoryRep, atom, conj, implies, neg
 from dlbridge.generator import GeneratorConfig, instance_stream
+from dlbridge.ontology import ground, o_entails
 from dlbridge.semantics import enumerate_answer_sets
 from dlbridge.syntax import Default, DefaultTheory, RuleAtom
 
@@ -102,7 +103,7 @@ def test_unreached_individual_extension():
     exts = eng.enumerate_extensions()
     assert len(exts) == 1
     gens = frozenset(exts[0].theory.generators)
-    assert eng._entails(gens, atom("S", "b"))
+    assert eng.theory.entails(gens, atom("S", "b"))
     assert eng.extension_to_interp(exts[0].theory, prog.herbrand_base) == frozenset()
 
 
@@ -114,7 +115,7 @@ def test_tau_prime_on_inconsistent_ontology():
     eng = ExtensionEngine(dt)
     exts = eng.enumerate_extensions()
     assert len(exts) == 1
-    assert eng._entails(frozenset(exts[0].theory.generators), fol.FALSE)
+    assert eng.theory.entails(frozenset(exts[0].theory.generators), fol.FALSE)
 
 
 def test_tau_prime_every_extension_consistent():
@@ -123,7 +124,7 @@ def test_tau_prime_every_extension_consistent():
         dt = quiet_encode(prog, "tau_prime")
         eng = ExtensionEngine(dt)
         for e in eng.enumerate_extensions():
-            assert not eng._entails(frozenset(e.theory.generators), fol.FALSE)
+            assert not eng.theory.entails(frozenset(e.theory.generators), fol.FALSE)
 
 
 def test_tau_prime_keeps_equality_out_of_rules():
@@ -170,7 +171,7 @@ def test_tau_star_prime_mirrors_tau_star():
     exts = eng.enumerate_extensions()
     # the closed-world default blocks {p(a)}: unique extension Th({¬p(a)})
     assert len(exts) == 1
-    assert eng._entails(frozenset(exts[0].theory.generators), neg(rule_atom_formula(PA)))
+    assert eng.theory.entails(frozenset(exts[0].theory.generators), neg(rule_atom_formula(PA)))
 
 
 def test_tau_star_prime_after_sigma_recovers_weak_answer_sets():
@@ -266,7 +267,7 @@ def test_shift_justification_to_premise_is_wrong_for_sws():
     exts = eng.enumerate_extensions()
     assert len(exts) == 1
     gens = frozenset(exts[0].theory.generators)
-    assert eng._entails(gens, neg(rule_atom_formula(PA)))
+    assert eng.theory.entails(gens, neg(rule_atom_formula(PA)))
     assert answer_names(enumerate_answer_sets(prog, "sws")) == [["p(a)"]]
 
 
@@ -349,3 +350,18 @@ def test_candidate_sweep_matches_generating_subset_oracle():
             assert any(eng.theory_equal(e.theory, s.theory) for s in slow)
         checked += 1
     assert checked > 20
+
+
+def test_backend_disagreement_is_raised(monkeypatch):
+    # a lying refutation backend must surface from both owners of the
+    # compiled entailment path, not only under assert-enabled runs
+    prog = programs.self_support()
+    dt = quiet_encode(prog, "tau")
+    fresh = ground(prog.ontology, prog.signature)  # nothing memoized yet
+    real = fol.entails_refutation
+    monkeypatch.setattr(fol, "DEBUG_CROSSCHECK", True)
+    monkeypatch.setattr(fol, "entails_refutation", lambda *a: not real(*a))
+    with pytest.raises(fol.BackendDisagreement):
+        o_entails(fresh, frozenset(), prog.dl_atoms[0].query)
+    with pytest.raises(fol.BackendDisagreement):
+        ExtensionEngine(dt).is_extension(TheoryRep(tuple(dt.background)))

@@ -6,8 +6,9 @@ import programs
 from conftest import answer_names
 from dlbridge.dleval import get_context, is_model
 from dlbridge.generator import GeneratorConfig, instance_stream
-from dlbridge.parser import parse_program, serialize_rule
+from dlbridge.parser import parse_program, serialize_program, serialize_rule
 from dlbridge.semantics import (
+    SEMANTICS,
     HerbrandCapExceeded,
     enumerate_answer_sets,
     gamma_step,
@@ -190,13 +191,18 @@ def test_lfp_is_least_model_for_positive_programs():
     assert count > 20
 
 
-def test_pruned_enumeration_agrees():
-    for _, prog in instance_stream(GeneratorConfig(seed=29), 40):
-        ctx = get_context(prog)
-        for kind in ("flp", "wws", "sws"):
-            assert enumerate_answer_sets(ctx, kind) == enumerate_answer_sets(
-                ctx, kind, prune=True
-            )
+def test_answer_sets_are_models():
+    # every weak, strong, flp, wws and sws answer set is a model of P
+    # (Eiter et al., AIJ 2008), which a model-mask candidate space relies on
+    seen = 0
+    for seed in (29, 42):
+        for _, prog in instance_stream(GeneratorConfig(seed=seed), 200):
+            ctx = get_context(prog)
+            for kind in SEMANTICS:
+                for interp in enumerate_answer_sets(ctx, kind):
+                    assert is_model(interp, ctx), (kind, serialize_program(prog))
+                    seen += 1
+    assert seen > 1000
 
 
 def test_interpretation_outside_hb_rejected():

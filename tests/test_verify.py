@@ -2,7 +2,14 @@
 
 import warnings
 
+import pytest
+
 import programs
+from dlbridge import fol
+from dlbridge.defaults import EncodingError, encode
+from dlbridge.dleval import get_context
+from dlbridge.ontology import o_consistent
+from dlbridge.parser import parse_ontology, parse_program
 from dlbridge.verify import CHECKS, CheckResult, report_table, run_check, run_suite
 
 # every check id paired with a catalog program that satisfies its
@@ -50,6 +57,24 @@ def test_skip_reports_reason():
     # P2 requires an inconsistent ontology; a consistent program skips
     result = run_check("P2", programs.self_support())
     assert result.ok and result.skipped and "inconsistent" in result.reason
+
+
+def test_consistency_reads_equality():
+    # a == b, C(a) and -C(b) are propositionally consistent, but not once
+    # == is read through congruence; T5 and T8 need a consistent ontology
+    onto = parse_ontology(
+        "concept C.\nindividual a, b.\naxiom a == b.\naxiom C(a).\naxiom -C(b).\n"
+    )
+    prog = parse_program("p(a) :- DL[C += q ; C](a).\nq(a) :- not p(a).", ontology=onto)
+    grounded = get_context(prog).grounded
+    assert fol.consistent(grounded.formulas) and not o_consistent(grounded)
+    with pytest.raises(EncodingError):
+        encode(prog, "tau_star")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for cid in ("T5", "T8"):
+            result = run_check(cid, prog)
+            assert result.skipped and "consistent ontology" in result.reason
 
 
 def test_failure_produces_shrunk_counterexample():
