@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import fol
 from .defaults import EncodingError, ExtensionEngine, encode
-from .dleval import classify, get_context
+from .dleval import DEFAULT_PAIR_CAP, classify, get_context
 from .generator import GeneratorConfig, generate_texts
 from .parser import (
     ParseError,
@@ -30,6 +30,7 @@ from .parser import (
     serialize_rule,
 )
 from .semantics import (
+    DEFAULT_HB_CAP,
     SEMANTICS,
     enumerate_answer_sets,
     lfp_gamma,
@@ -97,7 +98,7 @@ def cmd_parse(args):
 
 def cmd_classify(args):
     prog = load_program(args.file)
-    cap = args.cap_atoms if args.cap_atoms is not None else 12
+    cap = args.cap_atoms if args.cap_atoms is not None else DEFAULT_PAIR_CAP
     result = classify(get_context(prog), cap=cap)
     atoms = []
     for rec in result.report.per_atom:
@@ -138,9 +139,11 @@ def _dlatom_str(atom):
 def cmd_answersets(args):
     prog = load_program(args.file)
     ctx = get_context(prog)
-    cap = args.cap_hb if args.cap_hb is not None else 16
+    cap = args.cap_hb if args.cap_hb is not None else DEFAULT_HB_CAP
     answers = enumerate_answer_sets(ctx, args.semantics, cap=cap)
     if args.trace:
+        print(f"% candidates: {ctx.masks.model.bit_count()} models of P "
+              f"out of 2^{len(ctx.hb)}", file=sys.stderr)
         for i, interp in enumerate(answers):
             print(f"% answer set {i}: {_interp_names(interp)}", file=sys.stderr)
             if args.semantics in ("strong", "weak"):

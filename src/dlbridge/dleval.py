@@ -3,7 +3,8 @@
 An EvalContext bundles a program with its grounded ontology and the
 memo caches that dominate runtime: dl-atom satisfaction is keyed by the
 interpretation restricted to the atom's input atoms (sound because
-J |= A iff J restricted to A's input predicates |= A).
+J |= A iff J restricted to A's input predicates |= A).  Its ProgramMasks
+lift that satisfaction to all 2^|HB_P| interpretations at once.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import ontology as onto_mod
+from .fol import AtomUniverse
 from .syntax import BodyLiteral, DLAtom, DLProgram
 
 
@@ -36,6 +38,17 @@ class EvalContext:
         self._input_atoms = {}
         self._mono_cache = {}
         self._answer_cache = {}
+        self._masks = None
+
+    @property
+    def masks(self) -> "ProgramMasks":
+        """The program's truth columns over 2^|HB_P| valuations, built once."""
+        got = self._masks
+        if got is None:
+            # built whole before it is published, so verify's worker
+            # threads never see a half-filled table
+            got = self._masks = ProgramMasks(self)
+        return got
 
     def input_atoms(self, atom: DLAtom):
         """Ground atoms over the dl-atom's input predicates, HB order."""
@@ -55,6 +68,74 @@ class EvalContext:
             hit = onto_mod.o_entails(self.grounded, update, atom.query)
             self._sat_cache[key] = hit
         return hit
+
+
+class ProgramMasks:
+    """Truth columns of a program over the valuations of its Herbrand base.
+
+    Valuation v makes HB atom i true iff (v >> i) & 1, as in
+    fol.AtomUniverse; bit v of a column is the column's value under v.
+    Holds a column per HB atom and per dl-atom (its truth table over its
+    input atoms, from EvalContext.dl_satisfies, expanded), a (body,
+    ¬body ∨ head) pair per rule in program order, and the model mask of
+    P, the AND of the rule masks.
+    """
+
+    def __init__(self, ctx: EvalContext):
+        universe = AtomUniverse(ctx.hb)
+        self.index = universe.index
+        self.full = full = universe.full_mask
+        self.atom_columns = tuple(universe.column(i) for i in range(len(ctx.hb)))
+        cols = dict(zip(ctx.hb, self.atom_columns))
+        for atom in ctx.program.dl_atoms:
+            cols[atom] = _dl_column(ctx, atom, cols, full)
+        rules = []
+        model = full
+        for r in ctx.program.rules:
+            body = full
+            for lit in r.body:
+                body &= (full ^ cols[lit.atom]) if lit.negated else cols[lit.atom]
+            rule = (full ^ body) | cols[r.head]
+            rules.append((body, rule))
+            model &= rule
+        self.rules = tuple(rules)
+        self.model = model
+
+    def valuation(self, interp) -> int:
+        """The index v of the valuation that makes exactly interp true."""
+        return sum(1 << self.index[a] for a in interp)
+
+    def below(self, v) -> int:
+        """Mask of the valuations whose true atoms are a subset of v's."""
+        out = self.full
+        for i, col in enumerate(self.atom_columns):
+            if not v >> i & 1:
+                out &= self.full ^ col
+        return out
+
+
+def _dl_column(ctx, atom, cols, full):
+    """Column of a dl-atom: bit s of its truth table is its value at the
+    subset s of its input atoms (bit j for input atom j)."""
+    inputs = ctx.input_atoms(atom)
+    table = 0
+    for s in range(1 << len(inputs)):
+        if ctx.dl_satisfies({a for j, a in enumerate(inputs) if s >> j & 1}, atom):
+            table |= 1 << s
+    return _expand(table, 1 << len(inputs), [cols[a] for a in inputs], full)
+
+
+def _expand(table, size, inputs, full):
+    """Shannon expansion of a truth table of `size` rows on its last input."""
+    if table == 0:
+        return 0
+    if table == (1 << size) - 1:
+        return full
+    half = size >> 1
+    col, rest = inputs[-1], inputs[:-1]
+    return (_expand(table >> half, half, rest, full) & col) | (
+        _expand(table & ((1 << half) - 1), half, rest, full) & (full ^ col)
+    )
 
 
 _contexts = {}

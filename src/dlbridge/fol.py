@@ -232,7 +232,8 @@ class AtomUniverse:
     def full_mask(self):
         return (1 << self.n_valuations) - 1
 
-    def _column(self, i):
+    def column(self, i):
+        """Truth column of atom i: bit v is set iff valuation v makes it true."""
         col = self._cols.get(i)
         if col is None:
             # periodic pattern: 2^i zeros then 2^i ones, repeated
@@ -249,7 +250,7 @@ class AtomUniverse:
             return m
         full = self.full_mask
         if isinstance(f, Atom):
-            m = self._column(self.index[f.atom])
+            m = self.column(self.index[f.atom])
         elif isinstance(f, Top):
             m = full
         elif isinstance(f, Bot):

@@ -2,14 +2,14 @@
 
 Strong and weak answer sets go through the dl-transforms and the least
 fixpoint of the immediate-consequence operator; FLP answer sets through
-the FLP reduct with an exhaustive minimality check; weakly and strongly
-well-supported answer sets through the T operator under up-to
-satisfaction.  Enumeration sweeps the candidate space 2^HB_P.
+the FLP reduct, with minimality decided on the program's truth columns
+(dleval.ProgramMasks); weakly and strongly well-supported answer sets
+through the T operator under up-to satisfaction.  Every answer set of
+each kind is a model of P, so enumeration checks only the set bits of
+the model mask of P, not all 2^|HB_P| interpretations.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .dleval import (
     EvalContext,
@@ -172,13 +172,9 @@ def is_answer_set(program_or_ctx, interp, kind) -> bool:
     if kind == "weak":
         return lfp_gamma(weak_transform(ctx, interp), ctx) == interp
     if kind == "flp":
-        reduct = flp_reduct(ctx, interp)
-        if not _models_rules(interp, reduct, ctx):
+        if not _models_rules(interp, flp_reduct(ctx, interp), ctx):
             return False
-        return not any(
-            _models_rules(frozenset(sub), reduct, ctx)
-            for sub in _proper_subsets(sorted(interp, key=lambda a: (a.pred, a.args)))
-        )
+        return _flp_minimal(ctx.masks, interp)
     if kind == "wws":
         return is_model(interp, ctx) and tk_lfp(interp, ctx, mode="reduct") == interp
     if kind == "sws":
@@ -186,13 +182,25 @@ def is_answer_set(program_or_ctx, interp, kind) -> bool:
     raise ValueError(f"unknown semantics {kind!r}; pick from {SEMANTICS}")
 
 
-def _proper_subsets(items):
-    for k in range(len(items)):
-        yield from combinations(items, k)
+def _flp_minimal(masks, interp) -> bool:
+    """No proper subset of I is a model of fP^I, for I |= fP^I.
+
+    fP^I keeps the rules whose body bit at I is set; the valuations below
+    I that satisfy all of them are I alone iff I is a minimal model.
+    """
+    v = masks.valuation(interp)
+    left = masks.below(v)
+    for body, rule in masks.rules:
+        if body >> v & 1:
+            left &= rule
+    return left == 1 << v
 
 
 def enumerate_answer_sets(program_or_ctx, kind, cap=DEFAULT_HB_CAP):
-    """All answer sets of the given kind, lexicographic in the HB order."""
+    """All answer sets of the given kind, lexicographic in the HB order.
+
+    Only models of P are checked: the set bits of ctx.masks.model.
+    """
     ctx = as_context(program_or_ctx)
     if len(ctx.hb) > cap:
         raise HerbrandCapExceeded(
@@ -201,18 +209,20 @@ def enumerate_answer_sets(program_or_ctx, kind, cap=DEFAULT_HB_CAP):
     hit = ctx._answer_cache.get(kind)
     if hit is not None:
         return hit
-    out = tuple(interp for interp in _candidates(ctx.hb) if is_answer_set(ctx, interp, kind))
+    out = tuple(
+        interp for interp in _models(ctx) if is_answer_set(ctx, interp, kind)
+    )
     ctx._answer_cache[kind] = out
     return out
 
 
-def _candidates(hb):
-    """Subsets of HB in lexicographic order of their sorted index tuples."""
-    n = len(hb)
-    subsets = []
-    for size_mask in range(1 << n):
-        idx = tuple(i for i in range(n) if size_mask >> i & 1)
-        subsets.append(idx)
-    subsets.sort()
-    for idx in subsets:
-        yield frozenset(hb[i] for i in idx)
+def _models(ctx):
+    """Models of P in lexicographic order of their sorted HB index tuples."""
+    hb = ctx.hb
+    bits = bin(ctx.masks.model)[:1:-1]  # character v is bit v
+    found = sorted(
+        tuple(i for i in range(len(hb)) if v >> i & 1)
+        for v, bit in enumerate(bits)
+        if bit == "1"
+    )
+    return [frozenset(hb[i] for i in idx) for idx in found]

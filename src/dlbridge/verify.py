@@ -345,45 +345,58 @@ def run_check(check_id: str, program: DLProgram, instance_id: str = "<inline>"):
     if ok:
         return CheckResult(check_id, instance_id, True)
     detail["program"] = serialize_program(program)
-    shrunk = shrink(spec, program)
-    if shrunk is not None and shrunk != program:
+    shrunk, crash = shrink(spec, program)
+    if shrunk != program:
         detail["shrunk_program"] = serialize_program(shrunk)
+    if crash is not None:
+        detail["shrink_error"] = crash
     return CheckResult(check_id, instance_id, False, counterexample=detail)
 
 
 def _fails(spec, program):
     try:
         ok, _ = spec.fn(get_context(program))
-        return not ok
-    except Skip:
+    except (Skip, *CAP_ERRORS):
         return False
-    except Exception:
-        return False
+    return not ok
+
+
+def _smaller(program):
+    """Candidates with one rule dropped, then with one constant's rules dropped."""
+    for i in range(len(program.rules)):
+        yield DLProgram(program.ontology, program.rules[:i] + program.rules[i + 1 :])
+    for c in program.constants:
+        keep = tuple(
+            r for r in program.rules
+            if c not in serialize_program(DLProgram(program.ontology, (r,)))
+        )
+        if len(keep) < len(program.rules):
+            yield DLProgram(program.ontology, keep)
 
 
 def shrink(spec, program: DLProgram, rounds=24):
     """Smaller failing instance: drop rules, then constants, while the
-    check keeps failing."""
+    check keeps failing.
+
+    Returns (program, crash).  A candidate on which the check raises
+    anything but a skip or a resource cap stops the shrink; crash then
+    holds the exception's type and message and the crashing program,
+    and is None otherwise.
+    """
     cur = program
     for _ in range(rounds):
-        step = None
-        for i in range(len(cur.rules)):
-            cand = DLProgram(cur.ontology, cur.rules[:i] + cur.rules[i + 1 :])
-            if _fails(spec, cand):
-                step = cand
+        for cand in _smaller(cur):
+            try:
+                failing = _fails(spec, cand)
+            except Exception as e:  # reported in the counterexample, not hidden
+                return cur, {"type": type(e).__name__, "message": str(e),
+                             "program": serialize_program(cand)}
+            if failing:
+                cur = cand
                 break
-        if step is None:
-            for c in cur.constants:
-                keep = tuple(r for r in cur.rules if c not in serialize_program(DLProgram(cur.ontology, (r,))))
-                if len(keep) < len(cur.rules):
-                    cand = DLProgram(cur.ontology, keep)
-                    if _fails(spec, cand):
-                        step = cand
-                        break
-        if step is None:
-            return cur
-        cur = step
-    return cur
+        else:
+            return cur, None
+    return cur, None
 
 
 def run_suite(check_ids, count=100, seed=0, workers=1, programs=None):

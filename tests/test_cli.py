@@ -165,6 +165,23 @@ def test_trace_enables_backend_crosscheck(workdir, capsys):
     assert "answer set 0" in err
 
 
+def test_answersets_trace_counts_models_of_p(tmp_path, capsys):
+    import programs
+    from dlbridge import fol
+    from dlbridge.parser import serialize_ontology, serialize_program
+
+    prog = programs.self_support()
+    (tmp_path / "s.onto").write_text(serialize_ontology(prog.ontology))
+    (tmp_path / "s.dlp").write_text(serialize_program(prog, ontology_ref="s.onto"))
+    try:
+        assert main(["answersets", "--semantics", "strong", "--trace", str(tmp_path / "s.dlp")]) == 0
+    finally:
+        fol.DEBUG_CROSSCHECK = False
+    # both ∅ and {p(a)} satisfy p(a) :- DL[S += p ; Sp](a)
+    err = capsys.readouterr().err.splitlines()
+    assert "% candidates: 2 models of P out of 2^1" in err
+
+
 def test_parse_flags_negated_role_queries(workdir, capsys):
     (workdir / "roles.onto").write_text("role R.\nconcept C.\nindividual a, b.\n")
     (workdir / "roles.dlp").write_text(

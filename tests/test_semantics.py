@@ -1,9 +1,12 @@
 """Answer-set semantics: transforms, fixpoints, and the T operator."""
 
+import inspect
+
 import pytest
 
 import programs
 from conftest import answer_names
+from oracles import flp_by_subsets, plain_candidates, sweep_answer_sets
 from dlbridge.dleval import get_context, is_model
 from dlbridge.generator import GeneratorConfig, instance_stream
 from dlbridge.parser import parse_program, serialize_program, serialize_rule
@@ -203,6 +206,46 @@ def test_answer_sets_are_models():
                     assert is_model(interp, ctx), (kind, serialize_program(prog))
                     seen += 1
     assert seen > 1000
+
+
+def _oracle_contexts():
+    """Contexts of the seed-29 and seed-42 streams and the golden programs."""
+    for seed in (29, 42):
+        for _, prog in instance_stream(GeneratorConfig(seed=seed), 200):
+            yield get_context(prog)
+    for _, build in inspect.getmembers(programs, inspect.isfunction):
+        if build.__module__ == programs.__name__:
+            yield get_context(build())
+
+
+def test_enumeration_matches_plain_sweep():
+    # the model-mask walk returns what the plain 2^|HB| sweep returns, in
+    # the same order; FLP on the sweep side uses the proper-subset oracle
+    answers = 0
+    for ctx in _oracle_contexts():
+        for kind in SEMANTICS:
+            got = enumerate_answer_sets(ctx, kind)
+            assert got == sweep_answer_sets(ctx, kind), (kind, serialize_program(ctx.program))
+            answers += len(got)
+    assert answers > 1000
+
+
+def test_model_mask_and_flp_minimality_match_oracles():
+    # the model mask holds exactly the models of P, and on every model the
+    # mask-based FLP minimality agrees with the proper-subset sweep
+    models = flp = 0
+    for ctx in _oracle_contexts():
+        masks = ctx.masks
+        for interp in plain_candidates(ctx.hb):
+            is_model_bit = bool(masks.model >> masks.valuation(interp) & 1)
+            assert is_model_bit == is_model(interp, ctx), serialize_program(ctx.program)
+            if is_model_bit:
+                models += 1
+                expected = flp_by_subsets(ctx, interp)
+                assert is_answer_set(ctx, interp, "flp") == expected, (
+                    serialize_program(ctx.program), sorted(map(str, interp)))
+                flp += expected
+    assert models > 1000 and flp > 100
 
 
 def test_interpretation_outside_hb_rejected():

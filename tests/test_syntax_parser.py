@@ -1,11 +1,14 @@
 """Syntax layer: parsing, serialization, Herbrand base, fresh symbols."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import programs
 from conftest import interp_names
 from dlbridge.parser import (
     ParseError,
+    decode_utf8,
     parse_default_theory,
     parse_ontology,
     parse_program,
@@ -212,3 +215,31 @@ def test_subsumption_and_equality_queries_roundtrip():
     kinds = [l.atom.query.kind for l in prog.rules[0].body]
     assert kinds == ["subsumes", "eq"]
     assert parse_program(serialize_program(prog)).rules == prog.rules
+
+
+# grammar tokens, so that fuzzed inputs also get past the tokenizer
+_TOKENS = (
+    "p", "q", "a", "b", "S", "Sp", "R", "DL", "not", "concept", "role",
+    "individual", "axiom", "ontology", "equality", "true", "congruence",
+    "0", "1", "2", '"x.onto"', ":-", "[=", "+=", "-=", "?=", "==", "!=", "->",
+    "^-", ">=", "<=", "#", ".", ",", ";", ":", "(", ")", "[", "]", "{", "}",
+    "!", "&", "|", "/", "-", " ", "\n", "%",
+)
+_FUZZ_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.sampled_from(_TOKENS), max_size=60).map(lambda ts: "".join(ts).encode()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FUZZ_BYTES)
+def test_parsers_raise_only_parse_and_validation_errors(data):
+    try:
+        text = decode_utf8(data)
+    except ParseError:
+        return
+    for parse in (parse_ontology, parse_program, parse_default_theory):
+        try:
+            parse(text)
+        except (ParseError, ValidationError):
+            pass

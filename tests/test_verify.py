@@ -132,6 +132,29 @@ def test_injected_fault_is_caught_with_counterexample(monkeypatch):
     assert all(r.counterexample and "program" in r.counterexample for r in failures)
 
 
+def test_shrink_reports_a_crash_instead_of_hiding_it(monkeypatch):
+    from dataclasses import replace
+
+    from dlbridge import verify
+
+    prog = parse_program("p(a).\nq(a) :- not p(a).")
+
+    def check(ctx):
+        # fails on the full program, crashes on every smaller one
+        if len(ctx.program.rules) == 2:
+            return False, {}
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(verify.CHECKS, "SW", replace(verify.CHECKS["SW"], fn=check))
+    result = run_check("SW", prog)
+    assert not result.ok
+    ce = result.counterexample
+    assert "shrunk_program" not in ce
+    assert ce["shrink_error"] == {
+        "type": "RuntimeError", "message": "boom", "program": "q(a) :- not p(a).\n",
+    }
+
+
 def _patch_flp(monkeypatch, change):
     """Route the FLPMIN check's "flp" enumeration through change(ctx, sets)."""
     from dlbridge import verify
