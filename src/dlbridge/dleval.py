@@ -37,6 +37,7 @@ class EvalContext:
         self._sat_cache = {}
         self._input_atoms = {}
         self._mono_cache = {}
+        self._class_cache = {}  # pair cap -> ProgramClass
         self._answer_cache = {}
         self._masks = None
 
@@ -311,8 +312,16 @@ class ProgramClass:
 
 
 def classify(program_or_ctx, cap=DEFAULT_PAIR_CAP) -> ProgramClass:
-    """Program class flags plus the monotonicity report (DL+_P / DL?_P)."""
+    """Program class flags plus the monotonicity report (DL+_P / DL?_P).
+
+    Memoized on the context per cap: a cap not asked before goes through
+    is_monotonic again, so SearchCapExceeded is raised exactly as it
+    would be without the memo.
+    """
     ctx = as_context(program_or_ctx)
+    hit = ctx._class_cache.get(cap)
+    if hit is not None:
+        return hit
     records = tuple(is_monotonic(a, ctx, cap) for a in ctx.program.dl_atoms)
     mono = frozenset(r.atom for r in records if r.monotonic)
     nonmono = frozenset(r.atom for r in records if not r.monotonic)
@@ -321,7 +330,8 @@ def classify(program_or_ctx, cap=DEFAULT_PAIR_CAP) -> ProgramClass:
     normal = not any(a.mentions_constraint_op for a in mono)
     not_free = not any(l.negated for r in ctx.program.rules for l in r.body)
     positive = not_free and not nonmono
-    return ProgramClass(positive, canonical, normal, report)
+    hit = ctx._class_cache[cap] = ProgramClass(positive, canonical, normal, report)
+    return hit
 
 
 def nonmonotonic_atoms(program_or_ctx, cap=DEFAULT_PAIR_CAP):

@@ -12,9 +12,15 @@ theory, or the axioms of a single `entails` call), fixes an AtomUniverse
 and the background's satisfying-valuation mask, and answers
 `entails(extra, query)` and `consistent(extra)` with one memo.  On
 universes of at most AUTO_SWEEP_LIMIT atoms the answer is a bit-parallel
-valuation sweep over that mask; larger universes go to a CNF refutation
-search (DPLL) through `entails_refutation`.  With DEBUG_CROSSCHECK set,
-every swept answer is re-decided by refutation.
+valuation sweep over that mask.  Larger universes go to refutation
+through `entails_refutation`: the background is compiled once into a
+ClauseBase (its Tseitin CNF, unit-propagated at the root: the forced
+values plus the residual clauses), and each call encodes only its extra
+formulas and the negated query and solves them with the base in one
+iterative DPLL with two watched literals and chronological backtracking
+(`_Solver`).  Without a base, `entails_refutation` decides a sequent from
+scratch with the same solver.  With DEBUG_CROSSCHECK set, every swept
+answer is re-decided by refutation from scratch.
 
 Equality is *not* built in.  A CompiledTheory built with `equality=True`
 adds congruence axioms (`congruence_axioms`, Fitting's reduction:
@@ -28,6 +34,8 @@ independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+from operator import itemgetter
 from typing import Iterable
 
 EQ = "=="  # predicate name reserved for equality atoms
@@ -41,6 +49,8 @@ DEBUG_CROSSCHECK = False
 
 # Optional sink (callable taking a str) for DIMACS-like clause dumps of
 # the refutation backend: one clause per line, signed indices, 0-terminated.
+# A ClauseBase dumps its forced units and residual clauses once, when it is
+# built; every refutation call then dumps the clauses it adds.
 CLAUSE_DUMP = None
 
 
@@ -308,17 +318,21 @@ def entails_exhaustive(axioms, query, universe=None, cap=DEFAULT_EXHAUSTIVE_CAP)
 
 
 # ---------------------------------------------------------------------------
-# Refutation backend: Tseitin CNF + DPLL
+# Refutation backend: Tseitin CNF + watched-literal DPLL
 
 
-def _tseitin(formulas, index):
+def _tseitin(formulas, index, nvars=None):
     """CNF for the conjunction of formulas.
 
-    Atom i gets variable i+1; subformulas get fresh variables.  Returns
-    (clauses, n_vars).
+    Atom i gets variable i+1.  Each formula is split into clauses through
+    its top-level conjunctions, disjunctions, implications and negations;
+    only the subformulas below those get fresh variables, numbered above
+    `nvars` (default: above the atoms), with the full Tseitin
+    equivalence.  Returns (clauses, n_vars).
     """
     clauses = []
-    nvars = len(index)
+    if nvars is None:
+        nvars = len(index)
     cache = {}
 
     def lit(f):
@@ -366,77 +380,229 @@ def _tseitin(formulas, index):
             clauses.append((nvars,))
         return true_var[0]
 
+    def disjuncts(f, positive, out):
+        if isinstance(f, Not):
+            disjuncts(f.sub, not positive, out)
+        elif isinstance(f, Or if positive else And):
+            for g in f.args:
+                disjuncts(g, positive, out)
+        elif positive and isinstance(f, Implies):
+            disjuncts(f.lhs, False, out)
+            disjuncts(f.rhs, True, out)
+        else:
+            out.append(lit(f) if positive else -lit(f))
+        return out
+
+    def assert_(f, positive):
+        if isinstance(f, Not):
+            assert_(f.sub, not positive)
+        elif isinstance(f, And if positive else Or):
+            for g in f.args:
+                assert_(g, positive)
+        elif not positive and isinstance(f, Implies):
+            assert_(f.lhs, True)
+            assert_(f.rhs, False)
+        else:
+            clauses.append(tuple(disjuncts(f, positive, [])))
+
     for f in formulas:
-        clauses.append((lit(f),))
+        assert_(f, True)
     return clauses, nvars
 
 
-def _dpll(clauses, nvars):
-    """Satisfiability of a clause set; plain DPLL with unit propagation."""
-    assign = {}
+def _dump(clauses):
+    for c in clauses:
+        CLAUSE_DUMP(" ".join(map(str, (*c, 0))) + "\n")
 
-    def propagate(cls):
-        changed = True
-        while changed:
-            changed = False
-            nxt = []
-            for c in cls:
-                vals = []
-                sat = False
-                for l in c:
-                    v = assign.get(abs(l))
-                    if v is None:
-                        vals.append(l)
-                    elif (v and l > 0) or (not v and l < 0):
-                        sat = True
-                        break
-                if sat:
-                    continue
-                if not vals:
-                    return None
-                if len(vals) == 1:
-                    l = vals[0]
-                    assign[abs(l)] = l > 0
-                    changed = True
-                else:
-                    nxt.append(tuple(vals))
-            cls = nxt
-        return cls
 
-    def solve(cls):
-        cls = propagate(cls)
-        if cls is None:
+class _Solver:
+    """DPLL with two watched literals, a trail and chronological backtracking.
+
+    Literal l indexes `val` and `watch` directly: l > 0 from the front,
+    l < 0 from the back (Python's negative indexing), so both lists hold
+    2 * n_vars + 1 entries.  val[l] is 1 when l is true, -1 when false, 0
+    when unassigned.  Clause ci is watched by w0[ci] and w1[ci], which sit
+    in watch[w0[ci]] and watch[w1[ci]]; watches survive backtracking
+    unchanged, as in MiniSat (Eén & Sörensson, SAT 2003).
+    """
+
+    __slots__ = ("val", "watch", "clauses", "w0", "w1", "trail")
+
+    def __init__(self, nvars, base=None):
+        self.trail = []
+        if base is None:
+            self.val = [0] * (2 * nvars + 1)
+            self.watch = [[] for _ in range(2 * nvars + 1)]
+            self.clauses, self.w0, self.w1 = [], [], []
+            return
+        # the base's values and watches, widened in the middle for the
+        # call's variables; each base clause starts watched by its first two
+        nb = base.nvars
+        fresh = 2 * (nvars - nb)
+        self.val = val = base.val.copy()
+        val[nb + 1 : nb + 1] = [0] * fresh
+        self.watch = watch = [[] for _ in range(2 * nvars + 1)]
+        self.clauses = clauses = list(base.clauses)
+        self.w0 = w0 = list(map(itemgetter(0), clauses))
+        self.w1 = w1 = list(map(itemgetter(1), clauses))
+        for ci, a, b in zip(count(), w0, w1):
+            watch[a].append(ci)
+            watch[b].append(ci)
+
+    def assign(self, l):
+        self.val[l] = 1
+        self.val[-l] = -1
+        self.trail.append(l)
+
+    def add(self, clause) -> bool:
+        """Load a clause against the current values; False if it is false."""
+        val = self.val
+        lits = []
+        for l in clause:
+            v = val[l]
+            if v == 1 or (v == 0 and -l in lits):
+                return True  # satisfied, or a tautology
+            if v == 0 and l not in lits:
+                lits.append(l)
+        if not lits:
             return False
-        if not cls:
+        if len(lits) == 1:
+            self.assign(lits[0])
             return True
-        pivot = abs(cls[0][0])
-        for val in (True, False):
-            assign[pivot] = val
-            trail = dict(assign)
-            if solve(cls):
+        ci = len(self.clauses)
+        self.clauses.append(tuple(lits))
+        self.w0.append(lits[0])
+        self.w1.append(lits[1])
+        self.watch[lits[0]].append(ci)
+        self.watch[lits[1]].append(ci)
+        return True
+
+    def propagate(self, head) -> int:
+        """Unit-propagate the trail from `head`; the new head, or -1 on a
+        conflict."""
+        val, trail, watch = self.val, self.trail, self.watch
+        clauses, w0, w1 = self.clauses, self.w0, self.w1
+        while head < len(trail):
+            false = -trail[head]
+            head += 1
+            ws = watch[false]
+            if not ws:
+                continue
+            watch[false] = keep = []
+            for k, ci in enumerate(ws):
+                first = w0[ci] == false
+                other = w1[ci] if first else w0[ci]
+                if val[other] == 1:
+                    keep.append(ci)
+                    continue
+                for l in clauses[ci]:
+                    if val[l] != -1 and l != other:
+                        if first:
+                            w0[ci] = l
+                        else:
+                            w1[ci] = l
+                        watch[l].append(ci)
+                        break
+                else:
+                    keep.append(ci)
+                    if val[other] == -1:
+                        keep.extend(ws[k + 1 :])
+                        return -1
+                    val[other] = 1
+                    val[-other] = -1
+                    trail.append(other)
+        return head
+
+    def solve(self) -> bool:
+        """Satisfiability of the loaded clauses under the current values.
+
+        Decides the first unassigned literal of the newest unsatisfied
+        clause (call clauses are loaded last, so they go first); a level
+        is (trail mark, decision, flipped, clause pointer).
+        """
+        val, trail, clauses = self.val, self.trail, self.clauses
+        truth = val.__getitem__
+        levels = []
+        ptr = len(clauses) - 1
+        head = 0
+        while True:
+            head = self.propagate(head)
+            if head < 0:
+                while levels and levels[-1][2]:
+                    levels.pop()
+                if not levels:
+                    return False
+                mark, lit, _, ptr = levels.pop()
+                for l in trail[mark:]:
+                    val[l] = val[-l] = 0
+                del trail[mark:]
+                levels.append((mark, -lit, True, ptr))
+                self.assign(-lit)
+                head = mark
+                continue
+            while ptr >= 0 and max(map(truth, clauses[ptr])) == 1:
+                ptr -= 1
+            if ptr < 0:
                 return True
-            assign.clear()
-            assign.update(trail)
-            del assign[pivot]
-        return False
-
-    return solve(list(clauses))
+            lit = next(l for l in clauses[ptr] if not val[l])
+            levels.append((len(trail), lit, False, ptr))
+            self.assign(lit)
 
 
-def _refutation_sat(formulas, universe):
-    clauses, nvars = _tseitin(formulas, universe.index)
-    if CLAUSE_DUMP is not None:
-        for c in clauses:
-            CLAUSE_DUMP(" ".join(str(l) for l in c) + " 0\n")
-    return _dpll(clauses, nvars)
+class ClauseBase:
+    """A background's CNF, unit-propagated once at the root.
+
+    `val` holds the forced values in `_Solver` layout over `nvars`
+    variables (atom i is variable i+1, then the Tseitin variables);
+    `clauses` holds the residual clauses, each with at least two
+    literals, all unassigned, and no satisfied clause among them.  A
+    background that propagation refutes sets `unsat`, and then entails
+    every query.  Built once per theory; each call Tseitin-encodes only
+    its own formulas, above `nvars`, and loads the residual clauses as
+    they are.
+    """
+
+    __slots__ = ("nvars", "val", "clauses", "unsat")
+
+    def __init__(self, axioms, universe):
+        clauses, self.nvars = _tseitin(axioms, universe.index)
+        solver = _Solver(self.nvars)
+        self.unsat = not all(solver.add(c) for c in clauses) or solver.propagate(0) < 0
+        val = self.val = solver.val
+        residual = {}
+        if not self.unsat:
+            # one int object per literal keeps the long-lived tuples small
+            lits = {}
+            for c in solver.clauses:
+                if 1 not in map(val.__getitem__, c):
+                    c = tuple(lits.setdefault(l, l) for l in c if not val[l])
+                    residual.setdefault(c, None)
+        self.clauses = tuple(residual)
+        if CLAUSE_DUMP is not None:
+            forced = [v if val[v] == 1 else -v for v in range(1, self.nvars + 1) if val[v]]
+            _dump([()] if self.unsat else [(l,) for l in forced] + list(self.clauses))
 
 
-def entails_refutation(axioms, query, universe=None):
-    """Refutation backend; a given universe must cover axioms and query."""
+def entails_refutation(axioms, query, universe=None, base=None):
+    """Refutation backend: axioms ∧ ¬query has no model.
+
+    A given universe must cover axioms and query.  With a ClauseBase
+    compiled over that universe, the base is the background and `axioms`
+    are only the extra formulas of this call; without one, the call is
+    decided from scratch.
+    """
     formulas = list(axioms) + [neg(query)]
     if universe is None:
         universe = universe_for(formulas)
-    return not _refutation_sat(formulas, universe)
+    if base is not None and base.unsat:
+        return True
+    clauses, nvars = _tseitin(formulas, universe.index, None if base is None else base.nvars)
+    if CLAUSE_DUMP is not None:
+        _dump(clauses)
+    solver = _Solver(nvars, base)
+    if not all(solver.add(c) for c in clauses):
+        return True
+    return not solver.solve()
 
 
 # ---------------------------------------------------------------------------
@@ -448,19 +614,19 @@ class CompiledTheory:
 
     The compiled state is the background plus (with `equality`, once an ==
     atom occurs) its congruence axioms, the AtomUniverse over their atoms,
-    and, when that universe is small enough to sweep, the mask of the
-    valuations satisfying them.  A call whose extra formulas or query
-    mention an atom outside the universe recompiles over the union; the
-    state is replaced as one tuple, so concurrent callers never pair a
-    universe with another universe's mask.  Answers are memoized for the
-    life of the instance.
+    and either the mask of the valuations satisfying them, when that
+    universe is small enough to sweep, or their ClauseBase.  A call whose
+    extra formulas or query mention an atom outside the universe
+    recompiles over the union; the state is replaced as one tuple, so
+    concurrent callers never pair a universe with another universe's mask
+    or base.  Answers are memoized for the life of the instance.
     """
 
     def __init__(self, background=(), domain=None, equality=False):
         self.background = tuple(background)
         self.domain = domain
         self.equality = equality
-        self._compiled = None  # (axioms, universe, mask or None)
+        self._compiled = None  # (axioms, universe, mask or ClauseBase)
         self._memo = {}
 
     def entails(self, extra, query) -> bool:
@@ -483,8 +649,11 @@ class CompiledTheory:
         if self.equality:
             axioms += congruence_axioms(atoms, self.domain)
         universe = universe_for(axioms, atoms)
-        mask = _sat_mask(axioms, universe) if len(universe) <= AUTO_SWEEP_LIMIT else None
-        self._compiled = compiled = (axioms, universe, mask)
+        if len(universe) <= AUTO_SWEEP_LIMIT:
+            state = _sat_mask(axioms, universe)
+        else:
+            state = ClauseBase(axioms, universe)
+        self._compiled = compiled = (axioms, universe, state)
         return compiled
 
     def _decide(self, extra, query):
@@ -493,8 +662,8 @@ class CompiledTheory:
         if compiled is None or not compiled[1].covers(call):
             compiled = self._compile(compiled, call)
         axioms, universe, sat = compiled
-        if sat is None:
-            return entails_refutation(axioms + list(extra), query, universe)
+        if isinstance(sat, ClauseBase):
+            return entails_refutation(list(extra), query, universe, sat)
         for f in extra:
             sat &= universe.mask(f)
         result = _sweep_entails(sat, query, universe)

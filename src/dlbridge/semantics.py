@@ -149,6 +149,11 @@ def tk_lfp(interp, program_or_ctx, mode="direct"):
     interp = frozenset(interp)
     if not is_model(interp, ctx):
         raise ValueError("tk_lfp is only defined on models of the program")
+    return _tk_iterate(interp, ctx, mode)
+
+
+def _tk_iterate(interp, ctx, mode):
+    """T^∞(∅, I) for a model I of the program, unchecked."""
     cur = frozenset()
     for _ in range(len(ctx.hb) + 1):
         nxt = tk_operator(cur, interp, ctx, mode)
@@ -175,10 +180,9 @@ def is_answer_set(program_or_ctx, interp, kind) -> bool:
         if not _models_rules(interp, flp_reduct(ctx, interp), ctx):
             return False
         return _flp_minimal(ctx.masks, interp)
-    if kind == "wws":
-        return is_model(interp, ctx) and tk_lfp(interp, ctx, mode="reduct") == interp
-    if kind == "sws":
-        return is_model(interp, ctx) and tk_lfp(interp, ctx, mode="direct") == interp
+    if kind in ("wws", "sws"):
+        mode = "reduct" if kind == "wws" else "direct"
+        return is_model(interp, ctx) and _tk_iterate(interp, ctx, mode) == interp
     raise ValueError(f"unknown semantics {kind!r}; pick from {SEMANTICS}")
 
 

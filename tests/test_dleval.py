@@ -8,6 +8,7 @@ import pytest
 import programs
 from conftest import interp_names
 from dlbridge.dleval import (
+    EvalContext,
     SearchCapExceeded,
     classify,
     get_context,
@@ -128,6 +129,15 @@ def test_pair_cap():
     )
     with pytest.raises(SearchCapExceeded):
         is_monotonic(prog.dl_atoms[0], prog, cap=12)
+
+
+def test_classify_is_memoized_per_cap():
+    ctx = EvalContext(programs.self_support())  # nothing memoized yet
+    with pytest.raises(SearchCapExceeded):
+        classify(ctx, cap=0)  # a smaller cap, not yet asked, still raises
+    got = classify(ctx)
+    assert classify(ctx) is got and classify(ctx, cap=5) is not got
+    assert classify(ctx, cap=5) == got
 
 
 def _satisfied_by_all_subsets(ctx, atom, universe):

@@ -94,14 +94,42 @@ def test_exhaustive_cap_raises():
         entails_exhaustive(atoms, atoms[0], cap=24)
 
 
-def test_clause_dump_hook():
+def test_clause_dump_hook(monkeypatch):
     lines = []
-    fol.CLAUSE_DUMP = lines.append
-    try:
-        entails_refutation([S_a], S_a)
-    finally:
-        fol.CLAUSE_DUMP = None
-    assert lines and all(l.strip().endswith("0") for l in lines)
+    monkeypatch.setattr(fol, "CLAUSE_DUMP", lines.append)
+    entails_refutation([S_a], S_a)
+    standalone = len(lines)
+    assert standalone and all(l.endswith(" 0\n") for l in lines)
+    # compiled path: a 25-atom chain goes to refutation, and its ClauseBase
+    # dumps its 24 residual clauses once, then each call only its own two
+    chain = [atom("x", str(i)) for i in range(25)]
+    theory = fol.CompiledTheory([implies(a, b) for a, b in zip(chain, chain[1:])])
+    assert theory.entails([chain[0]], chain[-1])
+    assert theory.entails([chain[1]], chain[-1])
+    assert not theory.entails([chain[1]], chain[0])
+    dumped = lines[standalone:]
+    assert len(dumped) == 24 + 3 * 2
+    assert all(len(l.split()) == 3 and l.endswith(" 0\n") for l in dumped[:24])
+    assert all(len(l.split()) == 2 and l.endswith(" 0\n") for l in dumped[24:])
+
+
+def test_deep_search_does_not_recurse():
+    # 1,200 independent choices put the search 1,200 decisions deep, past
+    # the interpreter's recursion limit for a recursive DPLL
+    axioms = [atom("A", str(i)) | atom("B", str(i)) for i in range(1200)]
+    assert entails_refutation(axioms, atom("C")) is False
+
+
+def test_root_refuted_base_entails_everything():
+    u = fol.universe_for([S_a, Sp_a])
+    base = fol.ClauseBase([S_a, implies(S_a, Sp_a), neg(Sp_a)], u)
+    assert base.unsat
+    assert entails_refutation([], neg(S_a), u, base)
+    # refuted only by search, not at the root
+    pairs = [disj([x, y]) for x in (S_a, neg(S_a)) for y in (Sp_a, neg(Sp_a))]
+    base = fol.ClauseBase(pairs, u)
+    assert not base.unsat
+    assert entails_refutation([], S_a, u, base) and entails_refutation([], FALSE, u, base)
 
 
 # --- random formulas -------------------------------------------------------
@@ -112,17 +140,17 @@ ATOMS = [atom(n, c) for n in ("S", "Sp", "p") for c in ("a", "b")] + [
 ]
 
 
-def random_formula(rng, depth=3):
+def random_formula(rng, depth=3, leaves=ATOMS):
     if depth == 0 or rng.random() < 0.4:
-        return rng.choice(ATOMS)
+        return rng.choice(leaves)
     kind = rng.randrange(4)
     if kind == 0:
-        return neg(random_formula(rng, depth - 1))
+        return neg(random_formula(rng, depth - 1, leaves))
     if kind == 1:
-        return conj([random_formula(rng, depth - 1) for _ in range(2)])
+        return conj([random_formula(rng, depth - 1, leaves) for _ in range(2)])
     if kind == 2:
-        return disj([random_formula(rng, depth - 1) for _ in range(2)])
-    return implies(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+        return disj([random_formula(rng, depth - 1, leaves) for _ in range(2)])
+    return implies(random_formula(rng, depth - 1, leaves), random_formula(rng, depth - 1, leaves))
 
 
 def test_backends_agree_on_random_sequents():
@@ -174,3 +202,22 @@ def test_backend_agreement_property(seed):
     axioms = [random_formula(rng) for _ in range(rng.randrange(3))]
     query = random_formula(rng)
     assert entails_exhaustive(axioms, query) == entails_refutation(axioms, query)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30))
+def test_clause_base_matches_oracles(seed):
+    # compiled background + extra, and the same sequent from scratch, both
+    # against the sweep oracle; implies/neg keep TRUE and FALSE leaves
+    rng = random.Random(seed)
+    leaves = ATOMS + [TRUE, FALSE]
+    formulas = [random_formula(rng, leaves=leaves) for _ in range(rng.randrange(7))]
+    cut = rng.randrange(len(formulas) + 1)
+    background, extra = formulas[:cut], formulas[cut:]
+    if rng.random() < 0.15:
+        background += [S_a, neg(S_a)]  # unsatisfiable background
+    query = random_formula(rng, leaves=leaves)
+    u = fol.universe_for(background + extra + [query])
+    want = entails_exhaustive(background + extra, query, u)
+    assert entails_refutation(extra, query, u, fol.ClauseBase(background, u)) == want
+    assert entails_refutation(background + extra, query, u) == want

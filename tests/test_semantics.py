@@ -162,6 +162,19 @@ def test_tk_lfp_rejects_non_models():
         tk_lfp(set(), prog, mode="direct")
 
 
+def test_well_supported_candidates_are_model_checked_once(monkeypatch):
+    from dlbridge import semantics
+    from dlbridge.dleval import EvalContext
+
+    real, calls = semantics.is_model, []
+    monkeypatch.setattr(semantics, "is_model", lambda i, c: calls.append(i) or real(i, c))
+    for kind in ("wws", "sws"):
+        ctx = EvalContext(programs.neg_constraint())
+        calls.clear()
+        enumerate_answer_sets(ctx, kind)
+        assert len(calls) == len(semantics._models(ctx)) > 0
+
+
 def test_wws_sws_golden():
     prog = programs.neg_constraint()
     assert answer_names(enumerate_answer_sets(prog, "sws")) == [[]]

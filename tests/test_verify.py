@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 import programs
-from dlbridge import fol
+from dlbridge import dleval, fol
 from dlbridge.defaults import EncodingError, encode
 from dlbridge.dleval import get_context
 from dlbridge.ontology import o_consistent
@@ -209,6 +209,28 @@ def test_run_suite_with_workers_matches_serial():
     assert sorted((r.check_id, r.instance_id, r.ok) for r in serial) == sorted(
         (r.check_id, r.instance_id, r.ok) for r in parallel
     )
+
+
+def test_clause_base_path_matches_the_sweep_on_seed_42(monkeypatch):
+    # the refutation path is cross-checked against its oracle: with no
+    # universe small enough to sweep, every o_entails, o_consistent and
+    # ExtensionEngine question goes through a ClauseBase
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        swept = [r.to_json() for r in run_suite(list(CHECKS), count=50, seed=42)]
+        monkeypatch.setattr(dleval, "_contexts", {})  # nothing answered from memo
+        monkeypatch.setattr(fol, "AUTO_SWEEP_LIMIT", -1)
+        real, based = fol.entails_refutation, []
+
+        def counted(*args):
+            based.append(len(args) > 3 and args[3] is not None)
+            return real(*args)
+
+        monkeypatch.setattr(fol, "entails_refutation", counted)
+        refuted = [r.to_json() for r in run_suite(list(CHECKS), count=50, seed=42)]
+    assert refuted == swept
+    assert len(swept) == 50 * len(CHECKS)
+    assert based and all(based)
 
 
 def test_report_table_shape():
