@@ -571,12 +571,9 @@ class ClauseBase:
         val = self.val = solver.val
         residual = {}
         if not self.unsat:
-            # one int object per literal keeps the long-lived tuples small
-            lits = {}
             for c in solver.clauses:
                 if 1 not in map(val.__getitem__, c):
-                    c = tuple(lits.setdefault(l, l) for l in c if not val[l])
-                    residual.setdefault(c, None)
+                    residual.setdefault(tuple(l for l in c if not val[l]), None)
         self.clauses = tuple(residual)
         if CLAUSE_DUMP is not None:
             forced = [v if val[v] == 1 else -v for v in range(1, self.nvars + 1) if val[v]]

@@ -7,7 +7,8 @@ import pytest
 import programs
 from conftest import answer_names
 from oracles import flp_by_subsets, plain_candidates, sweep_answer_sets
-from dlbridge.dleval import get_context, is_model
+from dlbridge import semantics
+from dlbridge.dleval import EvalContext, get_context, is_model
 from dlbridge.generator import GeneratorConfig, instance_stream
 from dlbridge.parser import parse_program, serialize_program, serialize_rule
 from dlbridge.semantics import (
@@ -163,9 +164,6 @@ def test_tk_lfp_rejects_non_models():
 
 
 def test_well_supported_candidates_are_model_checked_once(monkeypatch):
-    from dlbridge import semantics
-    from dlbridge.dleval import EvalContext
-
     real, calls = semantics.is_model, []
     monkeypatch.setattr(semantics, "is_model", lambda i, c: calls.append(i) or real(i, c))
     for kind in ("wws", "sws"):
