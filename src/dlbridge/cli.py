@@ -221,7 +221,7 @@ def cmd_extensions(args):
             {
                 "generators": [serialize_formula(f) for f in e.theory.generators],
                 "choice": [serialize_formula(f) for f in e.literal_choice],
-                "projection": _interp_names(eng.extension_to_interp(e.theory, hb)),
+                "projection": _interp_names(eng.extension_to_interp(e.literal_choice, hb)),
             }
         )
     if args.json:
@@ -240,6 +240,9 @@ def cmd_verify(args):
     bad = [c for c in ids if c not in CHECKS]
     if bad:
         print(f"error: unknown check ids {bad}; known: {sorted(CHECKS)}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.workers is not None and args.workers < 1:
+        print(f"error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
         return EXIT_USAGE
     programs = [load_program(f) for f in args.files] if args.files else None
     with warnings.catch_warnings():

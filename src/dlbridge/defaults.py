@@ -11,15 +11,24 @@ encode() produces the four translations:
   tau_star_prime  tau_prime plus the same closed-world defaults.
 
 Extensions are found by the candidate sweep justified by the shape
-invariant (every extension is Th(W ∪ fired conclusions) and conclusions
-are Herbrand-base literals); a generating-default-subset oracle is kept
-for cross-checking.
+invariant: every extension is Th(W ∪ fired conclusions), and conclusions
+are Herbrand-base literals.  So the ExtensionEngine compiles W once per
+default theory, as the background of one fol.CompiledTheory (its mask,
+or above AUTO_SWEEP_LIMIT its ClauseBase), over the atoms of W and of
+every default.  Inside the engine a candidate is a tuple of literals L
+that stands for Th(W ∪ L): the Γ closure starts from the empty tuple,
+and two candidates are compared as literal sets relative to W.  A
+TheoryRep, at the public edges, keeps its meaning Th(generators): its W
+members are dropped after a background-free check that it entails the
+rest of W, and one that does not is no extension.  The
+generating-default-subset oracle lives with the tests.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from . import fol
@@ -141,53 +150,84 @@ def encode(program_or_ctx, kind: str) -> DefaultTheory:
 
 @dataclass(frozen=True)
 class ExtensionCandidate:
-    literal_choice: tuple  # of Formula literals joined to W
-    theory: TheoryRep
+    literal_choice: tuple  # Herbrand-base literals L; the extension is Th(W ∪ L)
+    theory: TheoryRep  # Th(W ∪ L) as a generator set
 
 
 class ExtensionEngine:
-    """Γ-operator machinery for one default theory."""
+    """Γ-operator machinery for one default theory.
+
+    W is compiled once, as the background of `theory`.  Inside the engine
+    a candidate is a tuple of formulas L standing for Th(W ∪ L); for the
+    encoder's theories L is a set of Herbrand-base literals.  A TheoryRep
+    keeps its meaning Th(generators) (see `_view`).
+    """
 
     def __init__(self, dt: DefaultTheory):
         self.dt = dt
-        # candidates carry W themselves; the compiled background is only
-        # the congruence axioms that true equality needs
-        self.theory = fol.CompiledTheory((), equality=dt.true_equality)
+        self.w = frozenset(dt.background)
+        formulas = [f for d in dt.defaults for f in (d.premise, *d.justifications, d.conclusion)]
+        self.theory = fol.CompiledTheory(
+            dt.background, equality=dt.true_equality, atoms=fol.atoms_of(formulas)
+        )
 
-    def gamma_closure(self, candidate) -> TheoryRep:
-        """⋃E_i of iteration (E_0 = W; fire on E_i ⊢ premise and no ¬β in
-        the candidate theory).  Stabilizes within #defaults + 1 stages."""
-        s_gens = frozenset(_generators(candidate))
+    @cached_property
+    def _bare(self):
+        """The background-free theory, for TheoryReps that miss W."""
+        return fol.CompiledTheory((), equality=self.dt.true_equality)
+
+    def _view(self, candidate):
+        """(compiled theory, extras) whose union is the candidate's theory.
+
+        A tuple L stands for Th(W ∪ L).  A TheoryRep drops its W members,
+        after a check, without W, that its generators entail the W members
+        they do not list; if they do not, it stays on the bare theory.
+        """
+        if not isinstance(candidate, TheoryRep):
+            return self.theory, tuple(candidate)
+        gens = candidate.generators
+        listed = set(gens)
+        missing = [f for f in self.dt.background if f not in listed]
+        if missing and not self._bare.entails(gens, conj(missing)):
+            return self._bare, gens
+        return self.theory, tuple(f for f in gens if f not in self.w)
+
+    def gamma_closure(self, candidate) -> tuple:
+        """L with Γ(candidate) = Th(W ∪ L): iterate E_0 = W, firing each
+        default whose premise E_i entails and none of whose justifications
+        the candidate refutes.  Stabilizes within #defaults + 1 stages."""
+        theory, extras = self._view(candidate)
+        extras = frozenset(extras)
         admissible = [
             d
             for d in self.dt.defaults
-            if all(not self.theory.entails(s_gens, neg(b)) for b in d.justifications)
+            if all(not theory.entails(extras, neg(b)) for b in d.justifications)
         ]
-        gens = list(self.dt.background)
-        gens_key = frozenset(gens)
-        fired = set()
+        lits, key, fired = [], frozenset(), set()
         for _ in range(len(self.dt.defaults) + 1):
             new = [
                 d
                 for d in admissible
-                if d not in fired and self.theory.entails(gens_key, d.premise)
+                if d not in fired and self.theory.entails(key, d.premise)
             ]
             if not new:
-                return TheoryRep(tuple(gens))
+                return tuple(lits)
             for d in new:
                 fired.add(d)
-                if d.conclusion not in gens:
-                    gens.append(d.conclusion)
-            gens_key = frozenset(gens)
+                if d.conclusion not in lits and d.conclusion not in self.w:
+                    lits.append(d.conclusion)
+            key = frozenset(lits)
         raise AssertionError("gamma iteration failed to stabilize")
 
     def theory_equal(self, t1, t2) -> bool:
-        g1, g2 = frozenset(_generators(t1)), frozenset(_generators(t2))
-        entails = self.theory.entails
-        return entails(g1, conj(list(g2))) and entails(g2, conj(list(g1)))
+        (theory, l1), (other, l2) = self._view(t1), self._view(t2)
+        if theory is not other:
+            return False  # one theory contains W, the other does not
+        return theory.entails(l1, conj(list(l2))) and theory.entails(l2, conj(list(l1)))
 
     def is_extension(self, candidate) -> bool:
-        return self.theory_equal(self.gamma_closure(candidate), candidate)
+        theory, lits = self._view(candidate)
+        return theory is self.theory and self.theory_equal(self.gamma_closure(lits), lits)
 
     def conclusion_literals(self):
         """Distinct conclusions as (atom, positive) pairs; rejects theories
@@ -206,70 +246,52 @@ class ExtensionEngine:
                 )
         return list(seen)
 
-    def enumerate_extensions(self):
-        """Candidate sweep over consistent sign choices of the conclusions."""
-        lits = self.conclusion_literals()
+    def candidates(self):
+        """Literal tuples of the sweep: every consistent sign choice of the
+        conclusions, atoms in (name, args) order."""
         by_atom = {}
-        for a, positive in lits:
+        for a, positive in self.conclusion_literals():
             by_atom.setdefault(a, set()).add(positive)
         atoms = sorted(by_atom, key=lambda a: (a.name, a.args))
-        option_sets = []
-        for a in atoms:
-            opts = [None]
-            for positive in sorted(by_atom[a], reverse=True):
-                opts.append((a, positive))
-            option_sets.append(opts)
-        out = []
+        option_sets = [
+            [None, *((a, positive) for positive in sorted(by_atom[a], reverse=True))]
+            for a in atoms
+        ]
         for pick in product(*option_sets):
-            chosen = tuple(
+            yield tuple(
                 Atom(a) if positive else neg(Atom(a))
                 for a, positive in (p for p in pick if p is not None)
             )
-            cand = TheoryRep(tuple(self.dt.background) + chosen)
-            if self.is_extension(cand):
-                if not any(self.theory_equal(cand, e.theory) for e in out):
-                    out.append(ExtensionCandidate(chosen, cand))
-        return out
 
-    def enumerate_extensions_by_generating_sets(self):
-        """Oracle: sweep subsets of defaults as generating sets."""
-        out = []
-        n = len(self.dt.defaults)
-        for mask in range(1 << n):
-            concl = []
-            for i in range(n):
-                if mask >> i & 1:
-                    c = self.dt.defaults[i].conclusion
-                    if c not in concl:
-                        concl.append(c)
-            cand = TheoryRep(tuple(self.dt.background) + tuple(concl))
-            if self.is_extension(cand):
-                if not any(self.theory_equal(cand, e.theory) for e in out):
-                    out.append(ExtensionCandidate(tuple(concl), cand))
+    def enumerate_extensions(self):
+        """Candidate sweep over consistent sign choices of the conclusions."""
+        w, out = tuple(self.dt.background), []
+        for chosen in self.candidates():
+            if self.is_extension(chosen) and not any(
+                self.theory_equal(chosen, e.literal_choice) for e in out
+            ):
+                out.append(ExtensionCandidate(chosen, TheoryRep(w + chosen)))
         return out
 
     def extension_to_interp(self, candidate, herbrand_base):
-        gens = frozenset(_generators(candidate))
-        return frozenset(
-            a for a in herbrand_base if self.theory.entails(gens, rule_atom_formula(a))
-        )
+        theory, lits = self._view(candidate)
+        return frozenset(a for a in herbrand_base if theory.entails(lits, rule_atom_formula(a)))
 
 
-def _generators(candidate):
-    if isinstance(candidate, TheoryRep):
-        return candidate.generators
-    return tuple(candidate)
+# module-level conveniences; a candidate is a TheoryRep (or a tuple of
+# generators), read as Th(generators)
 
 
-# module-level conveniences mirroring the engine methods
+def _rep(candidate):
+    return candidate if isinstance(candidate, TheoryRep) else TheoryRep(tuple(candidate))
 
 
 def gamma_closure(dt: DefaultTheory, candidate) -> TheoryRep:
-    return ExtensionEngine(dt).gamma_closure(candidate)
+    return TheoryRep(tuple(dt.background) + ExtensionEngine(dt).gamma_closure(_rep(candidate)))
 
 
 def is_extension(dt: DefaultTheory, candidate) -> bool:
-    return ExtensionEngine(dt).is_extension(candidate)
+    return ExtensionEngine(dt).is_extension(_rep(candidate))
 
 
 def enumerate_extensions(dt: DefaultTheory):
@@ -277,4 +299,4 @@ def enumerate_extensions(dt: DefaultTheory):
 
 
 def extension_to_interp(dt: DefaultTheory, candidate, herbrand_base):
-    return ExtensionEngine(dt).extension_to_interp(candidate, herbrand_base)
+    return ExtensionEngine(dt).extension_to_interp(_rep(candidate), herbrand_base)

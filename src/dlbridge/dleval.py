@@ -252,15 +252,15 @@ def is_monotonic(atom: DLAtom, program_or_ctx, cap=DEFAULT_PAIR_CAP):
     Returns an AtomMonotonicity record.
     """
     ctx = as_context(program_or_ctx)
-    hit = ctx._mono_cache.get(atom)
-    if hit is not None:
-        return hit
     inputs = ctx.input_atoms(atom)
     k = len(inputs)
-    if k > cap:
+    if k > cap:  # before the cache, so the answer does not depend on history
         raise SearchCapExceeded(
             f"dl-atom has {k} input atoms; pair sweep cap is {cap} (3^k pairs)"
         )
+    hit = ctx._mono_cache.get(atom)
+    if hit is not None:
+        return hit
     sat = {}
 
     def satisfied(subset):

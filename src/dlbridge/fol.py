@@ -26,9 +26,8 @@ Equality is *not* built in.  A CompiledTheory built with `equality=True`
 adds congruence axioms (`congruence_axioms`, Fitting's reduction:
 replacement for every predicate present) as soon as an == atom occurs in
 its universe; `entails_true_equality` is that path on a throwaway
-instance, and `quotient_entails` re-decides the same question by
-enumerating equivalence-relation quotients of the domain, as an
-independent oracle.
+instance.  The tests re-decide the same question by enumerating
+equivalence-relation quotients of the domain, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -199,14 +198,6 @@ def atoms_of(formulas):
 def predicates_of(formulas):
     """(name, arity) pairs of every predicate occurring in the formulas."""
     return {(a.name, len(a.args)) for a in atoms_of(formulas)}
-
-
-def constants_of(formulas):
-    consts = {}
-    for a in atoms_of(formulas):
-        for c in a.args:
-            consts.setdefault(c, None)
-    return list(consts)
 
 
 class AtomUniverse:
@@ -614,15 +605,18 @@ class CompiledTheory:
     and either the mask of the valuations satisfying them, when that
     universe is small enough to sweep, or their ClauseBase.  A call whose
     extra formulas or query mention an atom outside the universe
-    recompiles over the union; the state is replaced as one tuple, so
-    concurrent callers never pair a universe with another universe's mask
-    or base.  Answers are memoized for the life of the instance.
+    recompiles over the union; atoms that later calls will mention can be
+    given up front, so that the background is compiled once.  The state is
+    replaced as one tuple, so concurrent callers never pair a universe with
+    another universe's mask or base.  Answers are memoized for the life of
+    the instance.
     """
 
-    def __init__(self, background=(), domain=None, equality=False):
+    def __init__(self, background=(), domain=None, equality=False, atoms=()):
         self.background = tuple(background)
         self.domain = domain
         self.equality = equality
+        self.atoms = tuple(atoms)  # in the universe from the first compile on
         self._compiled = None  # (axioms, universe, mask or ClauseBase)
         self._memo = {}
 
@@ -640,7 +634,7 @@ class CompiledTheory:
         return not self.entails(extra, FALSE)
 
     def _compile(self, compiled, formulas):
-        known = compiled[1].atoms if compiled else atoms_of(self.background)
+        known = compiled[1].atoms if compiled else [*atoms_of(self.background), *self.atoms]
         atoms = [*known, *atoms_of(formulas)]
         axioms = list(self.background)
         if self.equality:
@@ -730,62 +724,6 @@ def entails_true_equality(axioms, query, domain=None):
     return CompiledTheory(axioms, domain, equality=True).entails((), query)
 
 
-def partitions(items):
-    """All partitions of a list (set-partition enumeration)."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
-def _quotient_formula(f, rep):
-    if isinstance(f, Atom):
-        a = f.atom
-        if a.name == EQ:
-            return TRUE if rep[a.args[0]] == rep[a.args[1]] else FALSE
-        return Atom(FAtom(a.name, tuple(rep[c] for c in a.args)))
-    if isinstance(f, (Top, Bot)):
-        return f
-    if isinstance(f, Not):
-        return neg(_quotient_formula(f.sub, rep))
-    if isinstance(f, And):
-        return conj([_quotient_formula(g, rep) for g in f.args])
-    if isinstance(f, Or):
-        return disj([_quotient_formula(g, rep) for g in f.args])
-    if isinstance(f, Implies):
-        return implies(_quotient_formula(f.lhs, rep), _quotient_formula(f.rhs, rep))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def quotient_entails(axioms, query, domain=None):
-    """True-equality entailment by quotient-model enumeration.
-
-    Independent oracle for `entails_true_equality`: for every equivalence
-    relation on the domain, collapse the atoms and decide propositionally.
-    """
-    axioms = list(axioms)
-    if domain is None:
-        domain = constants_of(axioms + [query])
-    domain = list(domain)
-    if not domain:
-        return entails(axioms, query)
-    for part in partitions(domain):
-        rep = {}
-        for block in part:
-            r = min(block)
-            for c in block:
-                rep[c] = r
-        qaxioms = [_quotient_formula(f, rep) for f in axioms]
-        if not entails(qaxioms, _quotient_formula(query, rep)):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Theories as generator sets
 
@@ -799,13 +737,3 @@ class TheoryRep:
     @classmethod
     def of(cls, formulas):
         return cls(tuple(formulas))
-
-
-def theory_equal(t1: TheoryRep, t2: TheoryRep, true_equality=False) -> bool:
-    """Mutual entailment of generator sets."""
-    g1, g2 = conj(list(t1.generators)), conj(list(t2.generators))
-    if true_equality:
-        return entails_true_equality(list(t2.generators), g1) and entails_true_equality(
-            list(t1.generators), g2
-        )
-    return entails(list(t2.generators), g1) and entails(list(t1.generators), g2)

@@ -8,13 +8,14 @@ the property each id verifies, so reports stay meaningful on their own.
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .defaults import ExtensionEngine, encode, rule_atom_formula
 from .dleval import SearchCapExceeded, classify, get_context
-from .fol import TheoryRep, UniverseTooLarge, neg
+from .fol import UniverseTooLarge, neg
 from .generator import GeneratorConfig, instance_stream
 from .ontology import o_consistent
 from .parser import serialize_program
@@ -60,7 +61,7 @@ CAP_ERRORS = (HerbrandCapExceeded, SearchCapExceeded, UniverseTooLarge)
 
 def _extension_interps(dt, hb):
     eng = ExtensionEngine(dt)
-    return [eng.extension_to_interp(e.theory, hb) for e in eng.enumerate_extensions()], eng
+    return [eng.extension_to_interp(e.literal_choice, hb) for e in eng.enumerate_extensions()], eng
 
 
 def _quiet_encode(ctx, kind):
@@ -142,9 +143,8 @@ def check_T5(ctx):
     lifted = [lift(i) for i in direct]
     ok = _sets_equal(lifted, interps)
     if ok:
-        w = tuple(dt.background)
         for i in lifted:
-            cand = TheoryRep(w + tuple(rule_atom_formula(a) for a in sorted(i, key=str)))
+            cand = tuple(rule_atom_formula(a) for a in sorted(i, key=str))
             if not eng.is_extension(cand):
                 ok = False
                 break
@@ -167,7 +167,7 @@ def check_T6(ctx):
     ok = _sets_equal(lifted, interps)
     if ok:
         for i in lifted:
-            cand = TheoryRep(tuple(rule_atom_formula(a) for a in sorted(i, key=str)))
+            cand = tuple(rule_atom_formula(a) for a in sorted(i, key=str))
             if not eng.is_extension(cand):
                 ok = False
                 break
@@ -183,11 +183,10 @@ def check_T8(ctx):
     direct = enumerate_answer_sets(ctx, "wws")
     ok = _sets_equal(direct, interps)
     if ok:
-        w = tuple(dt.background)
         for i in direct:
             lits = [rule_atom_formula(a) for a in sorted(i, key=str)]
             lits += [neg(rule_atom_formula(a)) for a in ctx.hb if a not in i]
-            if not eng.is_extension(TheoryRep(w + tuple(lits))):
+            if not eng.is_extension(tuple(lits)):
                 ok = False
                 break
     return ok, {"wws": _interp_strs(direct), "extension_interps": _interp_strs(interps)}
@@ -400,7 +399,8 @@ def shrink(spec, program: DLProgram, rounds=24):
 
 
 def run_suite(check_ids, count=100, seed=0, workers=1, programs=None):
-    """Run checks over generated instances (or supplied programs)."""
+    """Run checks over generated instances (or supplied programs), on at
+    most min(workers, cpu count) threads; below 2 they run serially."""
     jobs = []
     for cid in check_ids:
         spec = CHECKS[cid]
@@ -411,6 +411,7 @@ def run_suite(check_ids, count=100, seed=0, workers=1, programs=None):
             jobs.extend(
                 (cid, f"gen:{seed}:{i}", p) for i, p in instance_stream(cfg, count)
             )
+    workers = min(workers, os.cpu_count() or 1)  # never more threads than cores
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda j: run_check(j[0], j[2], j[1]), jobs))

@@ -2,12 +2,38 @@
 
 The plain candidate sweep tries every subset of HB_P, and FLP minimality
 tries every proper subset of the candidate; neither uses the program's
-truth columns.
+truth columns.  The generating-set extension search tries every subset of
+the defaults, and decides each on a theory with no compiled W.  The
+quotient-model check decides true-equality entailment by collapsing the
+domain under every equivalence relation, with no congruence axioms.
 """
 
 from itertools import combinations
 
+from dlbridge import fol
+from dlbridge.defaults import ExtensionCandidate
 from dlbridge.dleval import as_context
+from dlbridge.fol import (
+    EQ,
+    FALSE,
+    TRUE,
+    And,
+    Atom,
+    Bot,
+    FAtom,
+    Implies,
+    Not,
+    Or,
+    TheoryRep,
+    Top,
+    atoms_of,
+    conj,
+    disj,
+    entails,
+    entails_true_equality,
+    implies,
+    neg,
+)
 from dlbridge.semantics import _models_rules, flp_reduct, is_answer_set
 
 
@@ -39,3 +65,144 @@ def sweep_answer_sets(program_or_ctx, kind):
     ctx = as_context(program_or_ctx)
     check = flp_by_subsets if kind == "flp" else lambda c, i: is_answer_set(c, i, kind)
     return tuple(i for i in plain_candidates(ctx.hb) if check(ctx, i))
+
+
+class BareExtensionOracle:
+    """Default extensions decided without a compiled W.
+
+    W goes among the extra formulas of a background-free CompiledTheory,
+    as every generator set does, so no answer depends on the engine's
+    compiled background or on its literal-set candidates.
+    """
+
+    def __init__(self, dt):
+        self.dt = dt
+        self.theory = fol.CompiledTheory((), equality=dt.true_equality)
+
+    def gamma_closure(self, gens):
+        """Generators of Γ(Th(gens)): E_0 = W, then fire each default whose
+        premise E_i entails and none of whose justifications gens refutes."""
+        entails = self.theory.entails
+        s_gens = frozenset(gens)
+        admissible = [
+            d
+            for d in self.dt.defaults
+            if all(not entails(s_gens, neg(b)) for b in d.justifications)
+        ]
+        out = list(self.dt.background)
+        fired = set()
+        for _ in range(len(self.dt.defaults) + 1):
+            key = frozenset(out)
+            new = [d for d in admissible if d not in fired and entails(key, d.premise)]
+            if not new:
+                return tuple(out)
+            for d in new:
+                fired.add(d)
+                if d.conclusion not in out:
+                    out.append(d.conclusion)
+        raise AssertionError("gamma iteration failed to stabilize")
+
+    def theory_equal(self, g1, g2):
+        entails = self.theory.entails
+        return entails(g1, conj(list(g2))) and entails(g2, conj(list(g1)))
+
+    def is_extension(self, gens):
+        return self.theory_equal(self.gamma_closure(gens), gens)
+
+    def extensions_by_generating_sets(self):
+        """Sweep subsets of the defaults as generating sets."""
+        defaults = self.dt.defaults
+        out = []
+        for mask in range(1 << len(defaults)):
+            concl = []
+            for i, d in enumerate(defaults):
+                if mask >> i & 1 and d.conclusion not in concl:
+                    concl.append(d.conclusion)
+            gens = tuple(self.dt.background) + tuple(concl)
+            if self.is_extension(gens) and not any(
+                self.theory_equal(gens, e.theory.generators) for e in out
+            ):
+                out.append(ExtensionCandidate(tuple(concl), TheoryRep(gens)))
+        return out
+
+
+def extensions_by_generating_sets(dt):
+    """The generating-default-subset oracle for `enumerate_extensions`."""
+    return BareExtensionOracle(dt).extensions_by_generating_sets()
+
+
+# --- true equality by quotient models, and theories as generator sets ----
+
+
+def constants_of(formulas):
+    consts = {}
+    for a in atoms_of(formulas):
+        for c in a.args:
+            consts.setdefault(c, None)
+    return list(consts)
+
+
+def partitions(items):
+    """All partitions of a list (set-partition enumeration)."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
+def _quotient_formula(f, rep):
+    if isinstance(f, Atom):
+        a = f.atom
+        if a.name == EQ:
+            return TRUE if rep[a.args[0]] == rep[a.args[1]] else FALSE
+        return Atom(FAtom(a.name, tuple(rep[c] for c in a.args)))
+    if isinstance(f, (Top, Bot)):
+        return f
+    if isinstance(f, Not):
+        return neg(_quotient_formula(f.sub, rep))
+    if isinstance(f, And):
+        return conj([_quotient_formula(g, rep) for g in f.args])
+    if isinstance(f, Or):
+        return disj([_quotient_formula(g, rep) for g in f.args])
+    if isinstance(f, Implies):
+        return implies(_quotient_formula(f.lhs, rep), _quotient_formula(f.rhs, rep))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def quotient_entails(axioms, query, domain=None):
+    """True-equality entailment by quotient-model enumeration.
+
+    Independent oracle for `entails_true_equality`: for every equivalence
+    relation on the domain, collapse the atoms and decide propositionally.
+    """
+    axioms = list(axioms)
+    if domain is None:
+        domain = constants_of(axioms + [query])
+    domain = list(domain)
+    if not domain:
+        return entails(axioms, query)
+    for part in partitions(domain):
+        rep = {}
+        for block in part:
+            r = min(block)
+            for c in block:
+                rep[c] = r
+        qaxioms = [_quotient_formula(f, rep) for f in axioms]
+        if not entails(qaxioms, _quotient_formula(query, rep)):
+            return False
+    return True
+
+
+def theory_equal(t1: TheoryRep, t2: TheoryRep, true_equality=False) -> bool:
+    """Mutual entailment of generator sets."""
+    g1, g2 = conj(list(t1.generators)), conj(list(t2.generators))
+    if true_equality:
+        return entails_true_equality(list(t2.generators), g1) and entails_true_equality(
+            list(t1.generators), g2
+        )
+    return entails(list(t2.generators), g1) and entails(list(t1.generators), g2)

@@ -23,6 +23,7 @@ from dlbridge.semantics import enumerate_answer_sets, tk_operator
 from dlbridge.syntax import RuleAtom
 from dlbridge.transforms import pi, pi_prime, project, sigma
 from dlbridge.verify import run_suite
+from oracles import extensions_by_generating_sets, quotient_entails
 
 SEED = 42
 PA = RuleAtom("p", ("a",))
@@ -292,7 +293,7 @@ def test_criterion_3_oracle_equivalence():
             ]
             axioms = [rand_formula(2) for _ in range(rng.randrange(3))]
             query = rand_formula(2)
-            assert fol.quotient_entails(axioms, query, dom) == fol.entails_true_equality(
+            assert quotient_entails(axioms, query, dom) == fol.entails_true_equality(
                 axioms, query, dom
             )
 
@@ -376,7 +377,7 @@ def test_criterion_5_extension_engine_crosscheck():
                 continue
             eng = ExtensionEngine(dt)
             fast = eng.enumerate_extensions()
-            slow = eng.enumerate_extensions_by_generating_sets()
+            slow = extensions_by_generating_sets(dt)
             assert len(fast) == len(slow), serialize_program(prog)
             for e in fast:
                 assert any(eng.theory_equal(e.theory, s.theory) for s in slow)

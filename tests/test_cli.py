@@ -153,6 +153,16 @@ def test_verify_workers_flag(workdir, capsys):
     assert main(["verify", "--check", "SW", "--count", "6", "--seed", "4", "--workers", "2"]) == 0
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_verify_rejects_workers_below_one(workdir, capsys, monkeypatch, workers):
+    from dlbridge import verify
+
+    made = []
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", lambda max_workers: made.append(max_workers))
+    assert main(["verify", "--check", "SW", "--count", "2", "--workers", workers]) == 2
+    assert made == [] and "--workers" in capsys.readouterr().err
+
+
 def test_trace_enables_backend_crosscheck(workdir, capsys):
     from dlbridge import fol
 

@@ -23,6 +23,7 @@ from dlbridge.generator import GeneratorConfig, instance_stream
 from dlbridge.ontology import ground, o_entails
 from dlbridge.semantics import enumerate_answer_sets
 from dlbridge.syntax import Default, DefaultTheory, RuleAtom
+from oracles import BareExtensionOracle, extensions_by_generating_sets
 
 PA = RuleAtom("p", ("a",))
 QA = RuleAtom("q", ("a",))
@@ -344,7 +345,7 @@ def test_candidate_sweep_matches_generating_subset_oracle():
             continue
         eng = ExtensionEngine(dt)
         fast = eng.enumerate_extensions()
-        slow = eng.enumerate_extensions_by_generating_sets()
+        slow = extensions_by_generating_sets(dt)
         assert len(fast) == len(slow)
         for e in fast:
             assert any(eng.theory_equal(e.theory, s.theory) for s in slow)
@@ -365,3 +366,47 @@ def test_backend_disagreement_is_raised(monkeypatch):
         o_entails(fresh, frozenset(), prog.dl_atoms[0].query)
     with pytest.raises(fol.BackendDisagreement):
         ExtensionEngine(dt).is_extension(TheoryRep(tuple(dt.background)))
+
+
+def test_theory_rep_keeps_its_meaning_relative_to_w():
+    # a TheoryRep is Th(generators); only the engine's literal tuples are
+    # read relative to W
+    from dlbridge.defaults import is_extension
+
+    s_a, s_b, p = atom("S", "a"), atom("S", "b"), atom("p")
+    w = DefaultTheory((s_a,), ())
+    assert not is_extension(w, TheoryRep(()))
+    assert is_extension(w, TheoryRep((s_a,)))
+    assert ExtensionEngine(w).is_extension(())
+    # partial W: S(b) is neither listed nor entailed
+    partial = DefaultTheory((s_a, s_b), ())
+    assert not is_extension(partial, TheoryRep((s_a,)))
+    assert is_extension(partial, TheoryRep((s_b, s_a)))
+    # generators that entail W without listing it
+    chained = DefaultTheory((s_a, implies(s_a, s_b)), ())
+    assert is_extension(chained, TheoryRep((s_a, s_b)))
+    assert not is_extension(chained, TheoryRep((s_b,)))
+    fired = DefaultTheory((s_a,), (Default(TRUE, (p,), p),))
+    assert is_extension(fired, TheoryRep((conj([s_a, p]),)))
+    assert not is_extension(fired, TheoryRep((p,)))
+    assert ExtensionEngine(fired).gamma_closure(TheoryRep((p,))) == (p,)
+
+
+def test_literal_candidates_match_the_bare_oracle_on_seed_42():
+    # the engine decides each sweep candidate L as Th(W ∪ L) on a compiled
+    # W; the oracle decides W ∪ L as extra formulas of a bare theory
+    theories = extensions = 0
+    for _, prog in instance_stream(GeneratorConfig(seed=42), 500):
+        for kind in ("tau", "tau_star"):
+            try:
+                dt = quiet_encode(prog, kind)
+            except EncodingError:
+                continue
+            eng, oracle = ExtensionEngine(dt), BareExtensionOracle(dt)
+            w = tuple(dt.background)
+            for lits in eng.candidates():
+                fast = eng.is_extension(lits)
+                assert fast == oracle.is_extension(w + lits), (kind, lits)
+                extensions += fast
+            theories += 1
+    assert theories > 900 and extensions > 800

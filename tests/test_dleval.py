@@ -190,3 +190,10 @@ def test_restricted_monotonicity_equals_full_definition():
             fast = is_monotonic(atom, ctx).monotonic
             slow, _ = _unrestricted_monotone(ctx, atom)
             assert fast == slow
+
+
+def test_cap_is_checked_before_the_memo():
+    ctx = EvalContext(programs.self_support())
+    classify(ctx)  # memoizes the per-atom records under the default cap
+    with pytest.raises(SearchCapExceeded):
+        classify(ctx, cap=0)

@@ -23,9 +23,8 @@ from dlbridge.fol import (
     eq_axioms,
     implies,
     neg,
-    quotient_entails,
-    theory_equal,
 )
+from oracles import quotient_entails, theory_equal
 
 S_a, Sp_a, p_a, p_b = atom("S", "a"), atom("Sp", "a"), atom("p", "a"), atom("p", "b")
 

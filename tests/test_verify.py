@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 import programs
-from dlbridge import dleval, fol
+from dlbridge import dleval, fol, verify
 from dlbridge.defaults import EncodingError, encode
 from dlbridge.dleval import get_context
 from dlbridge.ontology import o_consistent
@@ -209,6 +209,37 @@ def test_run_suite_with_workers_matches_serial():
     assert sorted((r.check_id, r.instance_id, r.ok) for r in serial) == sorted(
         (r.check_id, r.instance_id, r.ok) for r in parallel
     )
+
+
+def recording_pool(made):
+    """A ThreadPoolExecutor stand-in that records max_workers and maps in
+    the calling thread, so no thread starts."""
+
+    class Pool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    return Pool
+
+
+def test_run_suite_clamps_workers_to_the_cpu_count(monkeypatch):
+    made = []
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", recording_pool(made))
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    assert len(run_suite(["SW"], count=3, seed=4, workers=10**9)) == 3
+    assert made == [2]
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)  # unknown: one core
+    assert len(run_suite(["SW"], count=3, seed=4, workers=8)) == 3
+    assert made == [2]
 
 
 def test_clause_base_path_matches_the_sweep_on_seed_42(monkeypatch):
