@@ -10,7 +10,6 @@ domain under every equivalence relation, with no congruence axioms.
 
 from itertools import combinations
 
-from dlbridge import fol
 from dlbridge.defaults import ExtensionCandidate
 from dlbridge.dleval import as_context
 from dlbridge.fol import (
@@ -20,6 +19,7 @@ from dlbridge.fol import (
     And,
     Atom,
     Bot,
+    CompiledTheory,
     FAtom,
     Implies,
     Not,
@@ -77,7 +77,7 @@ class BareExtensionOracle:
 
     def __init__(self, dt):
         self.dt = dt
-        self.theory = fol.CompiledTheory((), equality=dt.true_equality)
+        self.theory = CompiledTheory((), equality=dt.true_equality)
 
     def gamma_closure(self, gens):
         """Generators of Γ(Th(gens)): E_0 = W, then fire each default whose

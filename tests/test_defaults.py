@@ -13,6 +13,7 @@ from dlbridge.defaults import (
     ExtensionEngine,
     NonLiteralConclusion,
     encode,
+    is_extension,
     rule_atom_formula,
     tau_atom,
     tau_background,
@@ -371,8 +372,6 @@ def test_backend_disagreement_is_raised(monkeypatch):
 def test_theory_rep_keeps_its_meaning_relative_to_w():
     # a TheoryRep is Th(generators); only the engine's literal tuples are
     # read relative to W
-    from dlbridge.defaults import is_extension
-
     s_a, s_b, p = atom("S", "a"), atom("S", "b"), atom("p")
     w = DefaultTheory((s_a,), ())
     assert not is_extension(w, TheoryRep(()))
