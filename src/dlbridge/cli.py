@@ -296,7 +296,7 @@ def _add_global_flags(ap, suppress=False):
     ap.add_argument("--seed", type=int, help="random seed", default=d)
     ap.add_argument("--cap-hb", type=int, help="Herbrand-base enumeration cap", default=d)
     ap.add_argument("--cap-atoms", type=int, default=d,
-                    help="input-atom cap for the monotonicity pair sweep")
+                    help="input-atom cap for a dl-atom's 2^k-row truth table")
     ap.add_argument("--workers", type=int, help="parallel instances in verify", default=d)
     ap.add_argument("--trace", action="store_true", help="verbose evaluation traces",
                     default=argparse.SUPPRESS if suppress else False)

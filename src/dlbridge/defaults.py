@@ -39,8 +39,6 @@ from .syntax import (
     Default,
     DefaultTheory,
     DLAtom,
-    DLProgram,
-    OP_MINUS,
     OP_PLUS,
     RuleAtom,
 )

@@ -1,16 +1,15 @@
 """Satisfaction of (dl-)atoms and bodies, and the monotonicity classifier.
 
-An EvalContext bundles a program with its grounded ontology and the
-memo caches that dominate runtime: dl-atom satisfaction is keyed by the
-interpretation restricted to the atom's input atoms (sound because
-J |= A iff J restricted to A's input predicates |= A).  Its ProgramMasks
-lift that satisfaction to all 2^|HB_P| interpretations at once.
+J |= A for a dl-atom A depends only on J restricted to A's k input
+atoms, so an EvalContext keeps one truth table of 2^k rows per dl-atom,
+filled one o_entails call per row as rows are asked for.  Satisfaction,
+up-to satisfaction and monotonicity all read that table; ProgramMasks
+lifts it to all 2^|HB_P| interpretations at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import ontology as onto_mod
 from .fol import AtomUniverse
@@ -21,7 +20,7 @@ class SearchCapExceeded(Exception):
     pass
 
 
-DEFAULT_PAIR_CAP = 12  # max input atoms per dl-atom for the 3^k pair sweep
+DEFAULT_PAIR_CAP = 12  # max input atoms per dl-atom for its 2^k-row truth table
 
 
 class EvalContext:
@@ -34,9 +33,8 @@ class EvalContext:
         self.grounded = onto_mod.ground(
             program.ontology, program.signature, equality_mode=equality_mode
         )
-        self._sat_cache = {}
         self._input_atoms = {}
-        self._mono_cache = {}
+        self._tables = {}  # dl-atom -> (known, table): rows decided, their values
         self._class_cache = {}  # pair cap -> ProgramClass
         self._answer_cache = {}
         self._masks = None
@@ -61,14 +59,35 @@ class EvalContext:
         return got
 
     def dl_satisfies(self, interp, atom: DLAtom) -> bool:
-        restricted = frozenset(interp) & frozenset(self.input_atoms(atom))
-        key = (atom, restricted)
-        hit = self._sat_cache.get(key)
-        if hit is None:
-            update = onto_mod.build_update(restricted, atom.inputs, self.program.constants)
-            hit = onto_mod.o_entails(self.grounded, update, atom.query)
-            self._sat_cache[key] = hit
-        return hit
+        inputs = self.input_atoms(atom)
+        s = sum(1 << j for j, a in enumerate(inputs) if a in interp)
+        known, table = self._tables.get(atom, (0, 0))
+        if known >> s & 1:
+            return bool(table >> s & 1)
+        value = self._row(atom, inputs, s)
+        # one tuple written whole: a racing writer may drop a row, never flip one
+        known, table = self._tables.get(atom, (0, 0))
+        self._tables[atom] = (known | 1 << s, table | value << s)
+        return bool(value)
+
+    def truth_table(self, atom: DLAtom) -> int:
+        """Bit s is the atom's value at input subset s (bit j for input
+        atom j); only the rows not decided yet cost an o_entails call."""
+        inputs = self.input_atoms(atom)
+        full = (1 << (1 << len(inputs))) - 1
+        known, table = self._tables.get(atom, (0, 0))
+        if known != full:
+            for s in range(1 << len(inputs)):
+                if not known >> s & 1:
+                    table |= self._row(atom, inputs, s) << s
+            self._tables[atom] = (full, table)
+        return table
+
+    def _row(self, atom, inputs, s) -> int:
+        """The atom's value at input subset s, by one o_entails call."""
+        restricted = frozenset(a for j, a in enumerate(inputs) if s >> j & 1)
+        update = onto_mod.build_update(restricted, atom.inputs, self.program.constants)
+        return int(onto_mod.o_entails(self.grounded, update, atom.query))
 
 
 class ProgramMasks:
@@ -77,7 +96,7 @@ class ProgramMasks:
     Valuation v makes HB atom i true iff (v >> i) & 1, as in
     fol.AtomUniverse; bit v of a column is the column's value under v.
     Holds a column per HB atom and per dl-atom (its truth table over its
-    input atoms, from EvalContext.dl_satisfies, expanded), a (body,
+    input atoms, from EvalContext.truth_table, expanded), a (body,
     ¬body ∨ head) pair per rule in program order, and the model mask of
     P, the AND of the rule masks.
     """
@@ -116,14 +135,9 @@ class ProgramMasks:
 
 
 def _dl_column(ctx, atom, cols, full):
-    """Column of a dl-atom: bit s of its truth table is its value at the
-    subset s of its input atoms (bit j for input atom j)."""
+    """Column of a dl-atom: its truth table expanded over its input columns."""
     inputs = ctx.input_atoms(atom)
-    table = 0
-    for s in range(1 << len(inputs)):
-        if ctx.dl_satisfies({a for j, a in enumerate(inputs) if s >> j & 1}, atom):
-            table |= 1 << s
-    return _expand(table, 1 << len(inputs), [cols[a] for a in inputs], full)
+    return _expand(ctx.truth_table(atom), 1 << len(inputs), [cols[a] for a in inputs], full)
 
 
 def _expand(table, size, inputs, full):
@@ -189,8 +203,9 @@ def up_to_satisfies(lower, upper, lit: BodyLiteral, program_or_ctx) -> bool:
     """(E,I) |=_O lit: satisfaction by every F between E and I.
 
     For plain atoms this is membership in E (positive) or absence from I
-    (negated).  For dl-atoms the F-sweep is restricted to the atom's
-    input atoms, which decide its satisfaction.
+    (negated).  For dl-atoms it reads the truth-table rows between E and
+    I restricted to the atom's input atoms, which decide its satisfaction:
+    all of them set (positive) or none (negated).
     """
     ctx = as_context(program_or_ctx)
     lower, upper = frozenset(lower), frozenset(upper)
@@ -198,26 +213,24 @@ def up_to_satisfies(lower, upper, lit: BodyLiteral, program_or_ctx) -> bool:
         raise ValueError("up-to satisfaction needs E ⊆ I")
     if not lit.is_dl:
         return (lit.atom not in upper) if lit.negated else (lit.atom in lower)
-    inputs = frozenset(ctx.input_atoms(lit.atom))
-    base = lower & inputs
-    free = sorted(upper & inputs - base, key=lambda a: (a.pred, a.args))
-    if lit.negated:
-        return not any(
-            ctx.dl_satisfies(base | set(extra), lit.atom)
-            for extra in _subsets(free)
-        )
-    return all(
-        ctx.dl_satisfies(base | set(extra), lit.atom) for extra in _subsets(free)
-    )
+    base = free = 0
+    for j, a in enumerate(ctx.input_atoms(lit.atom)):
+        if a in lower:
+            base |= 1 << j
+        elif a in upper:
+            free |= 1 << j
+    table = ctx.truth_table(lit.atom)
+    sub = free
+    while True:  # every submask of free, free itself first
+        if table >> (base | sub) & 1 == lit.negated:
+            return False
+        if not sub:
+            return True
+        sub = (sub - 1) & free
 
 
 def up_to_satisfies_body(lower, upper, body, ctx) -> bool:
     return all(up_to_satisfies(lower, upper, lit, ctx) for lit in body)
-
-
-def _subsets(items):
-    for k in range(len(items) + 1):
-        yield from combinations(items, k)
 
 
 # ---------------------------------------------------------------------------
@@ -237,57 +250,38 @@ class MonotonicityReport:
     monotonic_atoms: frozenset  # DL+_P
     nonmonotonic_atoms: frozenset  # DL?_P
 
-    def witness_for(self, atom):
-        for rec in self.per_atom:
-            if rec.atom == atom:
-                return rec.witness
-        return None
-
 
 def is_monotonic(atom: DLAtom, program_or_ctx, cap=DEFAULT_PAIR_CAP):
-    """Exhaustive pair search over restrictions to the atom's input atoms.
+    """Monotonicity of the atom, read off its truth table.
 
-    Pairs (I_A, I'_A) with I_A ⊆ I'_A are swept in order of growing
-    |I'_A \\ I_A| so the first witness found is difference-minimal.
-    Returns an AtomMonotonicity record.
+    If I_A ⊆ I'_A with I_A |= atom and I'_A not|= atom, some single-atom
+    step between them also drops, so input j breaks monotonicity iff a
+    row s without bit j is set while s + 2^j is not.  The witness is the
+    first such flip: least j, then the row of least (popcount, sorted
+    input indices), the pair sweep's order.  Returns an AtomMonotonicity.
     """
     ctx = as_context(program_or_ctx)
     inputs = ctx.input_atoms(atom)
     k = len(inputs)
-    if k > cap:  # before the cache, so the answer does not depend on history
+    if k > cap:
         raise SearchCapExceeded(
-            f"dl-atom has {k} input atoms; pair sweep cap is {cap} (3^k pairs)"
+            f"dl-atom has {k} input atoms; truth-table cap is {cap} (2^k rows)"
         )
-    hit = ctx._mono_cache.get(atom)
-    if hit is not None:
-        return hit
-    sat = {}
-
-    def satisfied(subset):
-        v = sat.get(subset)
-        if v is None:
-            v = ctx.dl_satisfies(set(subset), atom)
-            sat[subset] = v
-        return v
-
-    result = None
-    for d in range(1, k + 1):
-        for added in combinations(inputs, d):
-            rest = [a for a in inputs if a not in added]
-            for base in _subsets(rest):
-                lower = frozenset(base)
-                upper = lower | frozenset(added)
-                if satisfied(lower) and not satisfied(upper):
-                    result = AtomMonotonicity(atom, False, (lower, upper))
-                    break
-            if result:
-                break
-        if result:
-            break
-    if result is None:
-        result = AtomMonotonicity(atom, True)
-    ctx._mono_cache[atom] = result
-    return result
+    table = ctx.truth_table(atom)
+    rows = (1 << (1 << k)) - 1
+    for j in range(k):
+        step = 1 << j
+        # rows whose bit j is clear: runs of `step` ones, period 2 * step
+        clear = ((1 << step) - 1) * (rows // ((1 << 2 * step) - 1))
+        drops = table & ~(table >> step) & clear
+        if drops:
+            s = min(
+                (r for r in range(1 << k) if drops >> r & 1),
+                key=lambda r: (r.bit_count(), [i for i in range(k) if r >> i & 1]),
+            )
+            lower = frozenset(a for i, a in enumerate(inputs) if s >> i & 1)
+            return AtomMonotonicity(atom, False, (lower, lower | {inputs[j]}))
+    return AtomMonotonicity(atom, True)
 
 
 @dataclass(frozen=True)
@@ -332,8 +326,3 @@ def classify(program_or_ctx, cap=DEFAULT_PAIR_CAP) -> ProgramClass:
     positive = not_free and not nonmono
     hit = ctx._class_cache[cap] = ProgramClass(positive, canonical, normal, report)
     return hit
-
-
-def nonmonotonic_atoms(program_or_ctx, cap=DEFAULT_PAIR_CAP):
-    """DL?_P, the exact set of nonmonotonic dl-atoms."""
-    return classify(program_or_ctx, cap).report.nonmonotonic_atoms

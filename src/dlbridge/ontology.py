@@ -34,7 +34,6 @@ from .syntax import (
     DLQuery,
     Equality,
     Inequality,
-    InputPair,
     Ontology,
     OP_MINUS,
     OP_PLUS,

@@ -2,9 +2,9 @@
 
 Strong and weak answer sets go through the dl-transforms and the least
 fixpoint of the immediate-consequence operator; FLP answer sets through
-the FLP reduct, with minimality decided on the program's truth columns
-(dleval.ProgramMasks); weakly and strongly well-supported answer sets
-through the T operator under up-to satisfaction.  Every answer set of
+the program's truth columns (dleval.ProgramMasks), which decide both
+I |= fP^I and its minimality; weakly and strongly well-supported answer
+sets through the T operator under up-to satisfaction.  Every answer set of
 each kind is a model of P, so enumeration checks only the set bits of
 the model mask of P, not all 2^|HB_P| interpretations.
 """
@@ -18,7 +18,6 @@ from .dleval import (
     is_model,
     satisfies,
     satisfies_body,
-    satisfies_literal,
     up_to_satisfies_body,
 )
 from .syntax import Rule
@@ -103,13 +102,6 @@ def flp_reduct(program_or_ctx, interp):
     return tuple(r for r in ctx.program.rules if satisfies_body(interp, r.body, ctx))
 
 
-def _models_rules(interp, rules, ctx):
-    interp = frozenset(interp)
-    return all(
-        not satisfies_body(interp, r.body, ctx) or r.head in interp for r in rules
-    )
-
-
 # ---------------------------------------------------------------------------
 # Well-supported operators
 
@@ -177,8 +169,6 @@ def is_answer_set(program_or_ctx, interp, kind) -> bool:
     if kind == "weak":
         return lfp_gamma(weak_transform(ctx, interp), ctx) == interp
     if kind == "flp":
-        if not _models_rules(interp, flp_reduct(ctx, interp), ctx):
-            return False
         return _flp_minimal(ctx.masks, interp)
     if kind in ("wws", "sws"):
         mode = "reduct" if kind == "wws" else "direct"
@@ -187,12 +177,15 @@ def is_answer_set(program_or_ctx, interp, kind) -> bool:
 
 
 def _flp_minimal(masks, interp) -> bool:
-    """No proper subset of I is a model of fP^I, for I |= fP^I.
+    """I |= fP^I and no proper subset of I is a model of fP^I.
 
-    fP^I keeps the rules whose body bit at I is set; the valuations below
-    I that satisfy all of them are I alone iff I is a minimal model.
+    I |= fP^I iff I |= P, the model bit at I.  fP^I keeps the rules whose
+    body bit at I is set; the valuations below I that satisfy all of them
+    are I alone iff I is a minimal model.
     """
     v = masks.valuation(interp)
+    if not masks.model >> v & 1:
+        return False
     left = masks.below(v)
     for body, rule in masks.rules:
         if body >> v & 1:

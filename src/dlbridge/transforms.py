@@ -18,26 +18,23 @@ symbol map, so interpretations can be lifted and projected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 
 from .dleval import as_context, classify, satisfies
 from .syntax import (
     BodyLiteral,
     CName,
-    CNot,
     DLAtom,
     DLProgram,
     DLQuery,
     FreshSymbols,
     InputPair,
-    Ontology,
     OP_MINUS,
     OP_PLUS,
     Role,
     Rule,
     RuleAtom,
-    Signature,
 )
 
 

@@ -2,7 +2,10 @@
 
 The plain candidate sweep tries every subset of HB_P, and FLP minimality
 tries every proper subset of the candidate; neither uses the program's
-truth columns.  The generating-set extension search tries every subset of
+truth columns.  The pair sweep decides dl-atom monotonicity over all 3^k
+nested pairs of input subsets, and up-to satisfaction tries every F
+between E and I; both ask dl_satisfies row by row, never the truth
+table whole.  The generating-set extension search tries every subset of
 the defaults, and decides each on a theory with no compiled W.  The
 quotient-model check decides true-equality entailment by collapsing the
 domain under every equivalence relation, with no congruence axioms.
@@ -11,7 +14,7 @@ domain under every equivalence relation, with no congruence axioms.
 from itertools import combinations
 
 from dlbridge.defaults import ExtensionCandidate
-from dlbridge.dleval import as_context
+from dlbridge.dleval import AtomMonotonicity, as_context, satisfies_body
 from dlbridge.fol import (
     EQ,
     FALSE,
@@ -34,7 +37,7 @@ from dlbridge.fol import (
     implies,
     neg,
 )
-from dlbridge.semantics import _models_rules, flp_reduct, is_answer_set
+from dlbridge.semantics import flp_reduct, is_answer_set
 
 
 def plain_candidates(hb):
@@ -45,16 +48,24 @@ def plain_candidates(hb):
         yield frozenset(hb[i] for i in idx)
 
 
+def models_rules(interp, rules, ctx):
+    """I |= rules: every rule whose body I satisfies has its head in I."""
+    interp = frozenset(interp)
+    return all(
+        not satisfies_body(interp, r.body, ctx) or r.head in interp for r in rules
+    )
+
+
 def flp_by_subsets(program_or_ctx, interp):
     """I is an FLP answer set: I |= fP^I and no proper subset of I is."""
     ctx = as_context(program_or_ctx)
     interp = frozenset(interp)
     reduct = flp_reduct(ctx, interp)
-    if not _models_rules(interp, reduct, ctx):
+    if not models_rules(interp, reduct, ctx):
         return False
     items = sorted(interp, key=lambda a: (a.pred, a.args))
     return not any(
-        _models_rules(frozenset(sub), reduct, ctx)
+        models_rules(frozenset(sub), reduct, ctx)
         for k in range(len(items))
         for sub in combinations(items, k)
     )
@@ -65,6 +76,43 @@ def sweep_answer_sets(program_or_ctx, kind):
     ctx = as_context(program_or_ctx)
     check = flp_by_subsets if kind == "flp" else lambda c, i: is_answer_set(c, i, kind)
     return tuple(i for i in plain_candidates(ctx.hb) if check(ctx, i))
+
+
+def _subsets(items):
+    for k in range(len(items) + 1):
+        yield from combinations(items, k)
+
+
+def monotonicity_by_pairs(atom, program_or_ctx):
+    """AtomMonotonicity by the pair sweep over restrictions to the input atoms.
+
+    Pairs (I_A, I'_A) with I_A ⊆ I'_A are swept in order of growing
+    |I'_A \\ I_A|, then by added atoms, then by I_A, so the first witness
+    found is difference-minimal.
+    """
+    ctx = as_context(program_or_ctx)
+    inputs = ctx.input_atoms(atom)
+    for d in range(1, len(inputs) + 1):
+        for added in combinations(inputs, d):
+            rest = [a for a in inputs if a not in added]
+            for base in _subsets(rest):
+                lower = frozenset(base)
+                upper = lower | frozenset(added)
+                if ctx.dl_satisfies(lower, atom) and not ctx.dl_satisfies(upper, atom):
+                    return AtomMonotonicity(atom, False, (lower, upper))
+    return AtomMonotonicity(atom, True)
+
+
+def up_to_by_subsets(lower, upper, lit, program_or_ctx):
+    """(E,I) |=_O lit for a dl-literal, by trying every F between E and I
+    on the atom's input atoms."""
+    ctx = as_context(program_or_ctx)
+    lower, upper = frozenset(lower), frozenset(upper)
+    inputs = frozenset(ctx.input_atoms(lit.atom))
+    base = lower & inputs
+    free = sorted(upper & inputs - base, key=lambda a: (a.pred, a.args))
+    values = (ctx.dl_satisfies(base | set(extra), lit.atom) for extra in _subsets(free))
+    return not any(values) if lit.negated else all(values)
 
 
 class BareExtensionOracle:

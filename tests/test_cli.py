@@ -41,6 +41,18 @@ def test_classify_json(workdir, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["labels"] == ["positive", "canonical", "normal"]
     assert payload["dl_atoms"][0]["monotonic"] is True
+    # programs.constraint_self_support, with its only difference-minimal witness
+    (workdir / "guard.dlp").write_text("p(a) :- DL[S += p, Sp ?= q ; S & !Sp](a).\n")
+    assert main(["classify", "--json", str(workdir / "guard.dlp")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["labels"] == ["normal"]
+    assert payload["dl_atoms"] == [
+        {
+            "atom": "DL[S += p, Sp ?= q ; (S & !Sp)](a)",
+            "monotonic": False,
+            "witness": {"satisfying": ["p(a)"], "violating": ["p(a)", "q(a)"]},
+        }
+    ]
 
 
 def test_answersets(workdir, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 import programs
 from conftest import interp_names
+from dlbridge import ontology
 from dlbridge.dleval import (
     EvalContext,
     SearchCapExceeded,
@@ -20,6 +21,7 @@ from dlbridge.dleval import (
 from dlbridge.generator import GeneratorConfig, instance_stream
 from dlbridge.parser import parse_ontology, parse_program
 from dlbridge.syntax import BodyLiteral, RuleAtom
+from oracles import monotonicity_by_pairs, plain_candidates, up_to_by_subsets
 
 
 PA = RuleAtom("p", ("a",))
@@ -73,6 +75,26 @@ def test_nonmonotonic_with_witness():
     assert interp_names(lo) == ["p(a)"] and interp_names(hi) == ["p(a)", "q(a)"]
 
 
+@pytest.mark.parametrize(
+    "query, lower",
+    [
+        # drop rows {p1,p2} and {p3}: fewer atoms first, not the lower row index
+        ("!S0 & ((S1 & S2) | S3)", ["p3(a)"]),
+        # drop rows {p2,p3} and {p1,p4}: sorted input indices, not the row index
+        ("!S0 & ((S1 & S4) | (S2 & S3))", ["p1(a)", "p4(a)"]),
+    ],
+)
+def test_witness_order_is_the_pair_sweep_order(query, lower):
+    prog = parse_program(
+        f"h(a) :- DL[S0 ?= p0, S1 += p1, S2 += p2, S3 += p3, S4 += p4 ; {query}](a)."
+    )
+    atom = prog.dl_atoms[0]
+    rec = is_monotonic(atom, prog)
+    assert rec == monotonicity_by_pairs(atom, EvalContext(prog))
+    lo, hi = rec.witness
+    assert interp_names(lo) == lower and interp_names(hi) == sorted(lower + ["p0(a)"])
+
+
 def test_monotonic_despite_constraint():
     prog = programs.mono_with_constraint()
     assert is_monotonic(prog.dl_atoms[0], prog).monotonic
@@ -120,15 +142,47 @@ def test_degenerate_dl_atom_no_inputs():
     assert satisfies(set(), prog.dl_atoms[0], prog)
 
 
-def test_pair_cap():
+def _fourteen_inputs():
     onto = parse_ontology("role R.\nconcept C.\nindividual a, b.\n")
     # two program constants: three binary input predicates contribute
     # 3 * 4 = 12 input atoms, the unary one two more
-    prog = parse_program(
+    return parse_program(
         "p(b).\np(a) :- DL[R ?= s, R -= t, R += u, C ?= v ; C](a).", ontology=onto
     )
+
+
+def _count_entailments(monkeypatch):
+    calls = []
+    real = ontology.o_entails
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ontology, "o_entails", counted)
+    return calls
+
+
+def test_pair_cap(monkeypatch):
+    prog = _fourteen_inputs()
+    calls = _count_entailments(monkeypatch)
     with pytest.raises(SearchCapExceeded):
         is_monotonic(prog.dl_atoms[0], prog, cap=12)
+    assert calls == []  # raised before any truth-table row is decided
+
+
+def test_one_query_costs_one_entailment(monkeypatch):
+    """dl_satisfies decides one truth-table row, not the whole 2^k table."""
+    prog = _fourteen_inputs()
+    ctx = EvalContext(prog)
+    atom = prog.dl_atoms[0]
+    assert len(ctx.input_atoms(atom)) == 14
+    calls = _count_entailments(monkeypatch)
+    interp = set(ctx.input_atoms(atom)[::3])
+    first = ctx.dl_satisfies(interp, atom)
+    assert len(calls) == 1
+    assert ctx.dl_satisfies(interp, atom) == first
+    assert len(calls) == 1
 
 
 def test_classify_is_memoized_per_cap():
@@ -197,3 +251,32 @@ def test_cap_is_checked_before_the_memo():
     classify(ctx)  # memoizes the per-atom records under the default cap
     with pytest.raises(SearchCapExceeded):
         classify(ctx, cap=0)
+
+
+def test_truth_table_matches_the_slow_oracles():
+    """is_monotonic (single flips on the truth table) gives the pair
+    sweep's record, witness included, and up_to_satisfies (submasks over
+    the table) the subset sweep's answer for every E ⊆ I at |HB| <= 5."""
+    atoms = nonmonotonic = cases = 0
+    for seed in (42, 29):
+        for force in (False, True):
+            config = GeneratorConfig(seed=seed, force_constraint=force)
+            for _, prog in instance_stream(config, 500):
+                ctx, oracle = EvalContext(prog), EvalContext(prog)
+                for atom in prog.dl_atoms:
+                    rec = is_monotonic(atom, ctx)
+                    assert rec == monotonicity_by_pairs(atom, oracle), prog
+                    atoms += 1
+                    nonmonotonic += not rec.monotonic
+                hb = ctx.hb
+                if len(hb) > 5:
+                    continue
+                lits = [BodyLiteral(n, a) for a in prog.dl_atoms for n in (False, True)]
+                for upper in plain_candidates(hb):
+                    for lower in plain_candidates(tuple(upper)):
+                        for lit in lits:
+                            assert up_to_satisfies(lower, upper, lit, ctx) == up_to_by_subsets(
+                                lower, upper, lit, oracle
+                            ), (prog, lower, upper, lit)
+                            cases += 1
+    assert (atoms, nonmonotonic, cases) == (2904, 944, 139224)
