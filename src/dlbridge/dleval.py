@@ -31,7 +31,11 @@ class EvalContext:
         self.hb = program.herbrand_base
         self.hb_set = frozenset(self.hb)
         self.grounded = onto_mod.ground(
-            program.ontology, program.signature, equality_mode=equality_mode
+            program.ontology,
+            program.signature,
+            equality_mode=equality_mode,
+            dl_atoms=program.dl_atoms,
+            constants=program.constants,
         )
         self._input_atoms = {}
         self._tables = {}  # dl-atom -> (known, table): rows decided, their values

@@ -4,6 +4,19 @@ Everything here is propositional: atoms are ground first-order atoms
 (concept atoms S(d), role atoms R(d,e), equality atoms d == e, and rule
 atoms), formulas are finite trees over them.
 
+Atoms and formulas are hash-consed (Filliâtre & Conchon, "Type-safe
+modular hash-consing", 2006): every constructor goes through `interned`,
+which returns the one live node with the given class and field values.
+Equal nodes are therefore one object, so `==` and `hash` are object
+identity, and the dicts and frozensets keyed on formulas (the universes'
+masks, the theories' memos, the Tseitin cache, interpretations of
+`syntax.RuleAtom`, which is interned the same way) hash without a Python
+call.  Each formula also stores its atoms once, as the tuple `atoms`, so
+`atoms_of` and `AtomUniverse.covers` never walk a tree.  The table holds
+its nodes through weak references, so a node lives only as long as
+someone uses it; a miss takes a lock and looks again before it inserts,
+so threads that build the same node at once get the same object.
+
 Every entailment and consistency question in the package has the same
 shape: does a fixed background plus a few extra formulas entail a query?
 All of them go through one path, `CompiledTheory`.  It is built once per
@@ -32,8 +45,11 @@ equivalence-relation quotients of the domain, as an independent oracle.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
-from itertools import count
+from functools import partial
+from itertools import chain, count
 from operator import itemgetter
 from typing import Iterable
 
@@ -61,12 +77,82 @@ class BackendDisagreement(Exception):
     """The sweep and the refutation backend gave different answers."""
 
 
-@dataclass(frozen=True)
-class FAtom:
+# ---------------------------------------------------------------------------
+# Hash-consed nodes
+
+_nodes = {}  # (class, *field values) -> weak reference to the one such node
+_nodes_lock = threading.RLock()
+
+
+def _forget(key, ref, nodes=_nodes, lock=_nodes_lock):
+    """Weakref callback: drop a dead node's entry unless a new node took it."""
+    with lock:
+        if nodes.get(key) is ref:
+            del nodes[key]
+
+
+def interned(cls, *values):
+    """The one live `cls` node with these field values, made on a miss.
+
+    A hit is one table lookup.  A miss takes the lock and looks again, so
+    racing threads never make two equal nodes.
+    """
+    key = (cls, *values)
+    ref = _nodes.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    with _nodes_lock:
+        ref = _nodes.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, values):
+                object.__setattr__(node, name, value)
+            node._derive()
+            _nodes[key] = weakref.ref(node, partial(_forget, key))
+        return node
+
+
+class Interned:
+    """Base of the hash-consed node classes.
+
+    A subclass names its fields in `_fields` (they are also its
+    `__slots__`) and its `__new__` returns `interned(cls, *fields)`.  Equal
+    nodes are then one object, so `==` and `hash` are object identity and
+    cost no Python call.  Nodes are immutable; `repr` has the dataclass
+    layout, and pickle and copy rebuild through the constructor, so they
+    return the canonical node.
+    """
+
+    __slots__ = ("__weakref__",)
+    _fields = ()
+
+    def _derive(self):
+        """Fill the slots computed from the fields, once, on creation."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class FAtom(Interned):
     """A ground atom: predicate name plus constant arguments."""
 
-    name: str
-    args: tuple = ()
+    __slots__ = _fields = ("name", "args")
+
+    def __new__(cls, name, args=()):
+        return interned(cls, name, args)
 
     def __str__(self):
         if self.name == EQ:
@@ -76,7 +162,22 @@ class FAtom:
         return f"{self.name}({','.join(self.args)})"
 
 
-class Formula:
+def _union(parts):
+    """Concatenation of atom tuples, first occurrence kept."""
+    return tuple(dict.fromkeys(chain.from_iterable(parts)))
+
+
+class Formula(Interned):
+    """A formula node; `atoms` is its atoms in first-occurrence order."""
+
+    __slots__ = ("atoms",)
+
+    def _derive(self):
+        object.__setattr__(self, "atoms", self._atoms())
+
+    def _atoms(self):
+        return ()
+
     def __and__(self, other):
         return conj([self, other])
 
@@ -87,40 +188,68 @@ class Formula:
         return neg(self)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    atom: FAtom
+    __slots__ = _fields = ("atom",)
+
+    def __new__(cls, atom):
+        return interned(cls, atom)
+
+    def _atoms(self):
+        return (self.atom,)
 
 
-@dataclass(frozen=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
+
+    def __new__(cls):
+        return interned(cls)
 
 
-@dataclass(frozen=True)
 class Bot(Formula):
-    pass
+    __slots__ = ()
+
+    def __new__(cls):
+        return interned(cls)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
+
+    def __new__(cls, sub):
+        return interned(cls, sub)
+
+    def _atoms(self):
+        return self.sub.atoms
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    args: tuple  # of Formula, len >= 2
+    __slots__ = _fields = ("args",)  # tuple of Formula, len >= 2
+
+    def __new__(cls, args):
+        return interned(cls, args)
+
+    def _atoms(self):
+        return _union([g.atoms for g in self.args])
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    args: tuple
+    __slots__ = _fields = ("args",)
+
+    def __new__(cls, args):
+        return interned(cls, args)
+
+    def _atoms(self):
+        return _union([g.atoms for g in self.args])
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __new__(cls, lhs, rhs):
+        return interned(cls, lhs, rhs)
+
+    def _atoms(self):
+        return _union([self.lhs.atoms, self.rhs.atoms])
 
 
 TRUE = Top()
@@ -169,30 +298,9 @@ def implies(a, b):
     return Implies(a, b)
 
 
-def formula_atoms(f, acc=None):
-    """All FAtoms occurring in f (insertion-ordered)."""
-    if acc is None:
-        acc = {}
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Atom):
-            acc.setdefault(g.atom, None)
-        elif isinstance(g, Not):
-            stack.append(g.sub)
-        elif isinstance(g, (And, Or)):
-            stack.extend(reversed(g.args))
-        elif isinstance(g, Implies):
-            stack.append(g.rhs)
-            stack.append(g.lhs)
-    return acc
-
-
 def atoms_of(formulas):
-    acc = {}
-    for f in formulas:
-        formula_atoms(f, acc)
-    return list(acc)
+    """The atoms of the formulas, in first-occurrence order."""
+    return list(dict.fromkeys(chain.from_iterable(f.atoms for f in formulas)))
 
 
 def predicates_of(formulas):
@@ -213,6 +321,7 @@ class AtomUniverse:
         self.index = {a: i for i, a in enumerate(self.atoms)}
         if len(self.index) != len(self.atoms):
             raise ValueError("duplicate atoms in universe")
+        self._atom_set = frozenset(self.atoms)
         self._cols = {}
         self._masks = {}
 
@@ -223,7 +332,8 @@ class AtomUniverse:
         return a in self.index
 
     def covers(self, formulas):
-        return all(a in self.index for a in atoms_of(formulas))
+        """True iff every atom of the formulas is in the universe."""
+        return all(self._atom_set.issuperset(f.atoms) for f in formulas)
 
     @property
     def n_valuations(self):

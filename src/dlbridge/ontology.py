@@ -172,15 +172,25 @@ class GroundedOntology:
     domain: tuple
     equality_mode: str  # "congruence" | "true-equality"
     eq_live: bool
+    atoms: tuple = ()  # in the theory's universe from its first compile on
 
     def __post_init__(self):
-        self.theory = fol.CompiledTheory(self.formulas, self.domain, equality=True)
+        self.theory = fol.CompiledTheory(
+            self.formulas, self.domain, equality=True, atoms=self.atoms
+        )
         # one formula per dl-query, so the theory's memo keys share it
         self._query_formulas = {}
 
 
-def ground(onto: Ontology, signature=None, equality_mode="congruence") -> GroundedOntology:
-    """Ground every axiom over the closed domain of declared individuals."""
+def ground(
+    onto: Ontology, signature=None, equality_mode="congruence", dl_atoms=(), constants=()
+) -> GroundedOntology:
+    """Ground every axiom over the closed domain of declared individuals.
+
+    The theory's universe also holds every atom that an update of one of
+    `dl_atoms` over `constants` (see `build_update`) or its query can
+    mention, so that it is compiled once however the calls arrive.
+    """
     sig = signature if signature is not None else onto.signature
     domain = tuple(sig.declared_individuals)
     if onto.axioms and not domain:
@@ -189,13 +199,25 @@ def ground(onto: Ontology, signature=None, equality_mode="congruence") -> Ground
     formulas = []
     for ax in onto.axioms:
         formulas.extend(f for f in axiom_formulas(ax, domain, eq_live) if f is not TRUE)
-    return GroundedOntology(formulas, domain, equality_mode, eq_live)
+    queries = {a.query: _query_formula(a.query, domain, eq_live) for a in dl_atoms}
+    targets = [
+        FAtom(p.target, tup) for a in dl_atoms for p in a.inputs for tup in _tuples(constants, p.arity)
+    ]
+    g = GroundedOntology(
+        formulas, domain, equality_mode, eq_live, (*targets, *fol.atoms_of(queries.values()))
+    )
+    g._query_formulas.update(queries)
+    return g
 
 
 def query_formula(g: GroundedOntology, q: DLQuery):
-    eq_live = g.eq_live or q.kind == "eq"
+    return _query_formula(q, g.domain, g.eq_live)
+
+
+def _query_formula(q, domain, eq_live):
+    eq_live = eq_live or q.kind == "eq"
     if q.kind == "concept":
-        f = concept_formula(q.concept, q.terms[0], g.domain, eq_live)
+        f = concept_formula(q.concept, q.terms[0], domain, eq_live)
     elif q.kind == "role":
         f = role_atom(q.role, *q.terms)
     elif q.kind == "eq":
@@ -204,10 +226,10 @@ def query_formula(g: GroundedOntology, q: DLQuery):
         f = conj(
             [
                 implies(
-                    concept_formula(q.concept, d, g.domain, eq_live),
-                    concept_formula(q.concept2, d, g.domain, eq_live),
+                    concept_formula(q.concept, d, domain, eq_live),
+                    concept_formula(q.concept2, d, domain, eq_live),
                 )
-                for d in g.domain
+                for d in domain
             ]
         )
     else:
@@ -230,13 +252,7 @@ def build_update(interp, inputs, constants):
     """
     out = []
     for pair in inputs:
-        arity = pair.arity
-        tuples = (
-            [(c,) for c in constants]
-            if arity == 1
-            else [(c, d) for c in constants for d in constants]
-        )
-        for tup in tuples:
+        for tup in _tuples(constants, pair.arity):
             present = _ratom(pair.pred, tup) in interp
             target = FAtom(pair.target, tup)
             if pair.op == OP_PLUS and present:
@@ -244,6 +260,12 @@ def build_update(interp, inputs, constants):
             elif pair.op == OP_MINUS and not present:
                 out.append((target, pair.negated))
     return frozenset(out)
+
+
+def _tuples(constants, arity):
+    if arity == 1:
+        return [(c,) for c in constants]
+    return [(c, d) for c in constants for d in constants]
 
 
 def _ratom(pred, args):

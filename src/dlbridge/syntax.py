@@ -1,7 +1,9 @@
 """Abstract syntax for ontologies, dl-programs and default theories.
 
 All values are immutable after construction and hashable, so they can be
-shared freely across evaluators and used as cache keys.  The constraint
+shared freely across evaluators and used as cache keys.  RuleAtom is
+interned like the formula nodes (see `fol`), so equal rule atoms are one
+object; the other values are frozen dataclasses compared by value.  The constraint
 operator is written "-" internally (surface `?=`); "S -= p" from the
 surface syntax is stored canonically as "!S += p" with a display flag
 that only affects serialization.
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from .fol import Formula
+from .fol import Formula, Interned, interned
 
 OP_PLUS = "+"   # ⊕  (surface +=)
 OP_MINUS = "-"  # ⊖  (surface ?=), the constraint operator
@@ -320,10 +322,13 @@ class DLAtom:
         return DLAtom(tuple(out), self.query)
 
 
-@dataclass(frozen=True)
-class RuleAtom:
-    pred: str
-    args: tuple = ()
+class RuleAtom(Interned):
+    """A rule atom, interned like the formula nodes (see `fol.Interned`)."""
+
+    __slots__ = _fields = ("pred", "args")
+
+    def __new__(cls, pred, args=()):
+        return interned(cls, pred, args)
 
     def __str__(self):
         if not self.args:

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, file outputs."""
 
+import hashlib
 import json
 
 import pytest
@@ -119,6 +120,17 @@ def test_verify_subcommand(workdir, capsys):
     assert main(["verify", "--check", "T3", "SW", "--count", "5", "--seed", "2"]) == 0
     out = capsys.readouterr().out
     assert "T3" in out and "SW" in out
+
+
+def test_verify_json_digest(capsys):
+    """`verify --count 50 --seed 42 --json` is pinned byte for byte.  A change
+    that alters this output on purpose updates the digest and says why in
+    CHANGES.md."""
+    assert main(["verify", "--count", "50", "--seed", "42", "--json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "b83fd5e84d0871acfbd31bdb6ea7c60b830eb5adcd8e0a49dfd3c93e4696e315"
+    )
 
 
 def test_verify_unknown_check(workdir, capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dlbridge import fol
+from dlbridge import dleval, fol
 from dlbridge.fol import Atom, FAtom, implies
 from dlbridge.ontology import (
     GroundingError,
@@ -168,3 +168,24 @@ def test_cardinality_with_equality_counts_classes():
         "axiom R(a,a).\naxiom R(a,b).\naxiom (<= 1 R)(a).\n"
     )
     assert not o_consistent(ground(onto2))
+
+
+def test_grounded_theories_compile_once_on_the_seed_42_stream(monkeypatch):
+    """The universe of an EvalContext's ontology theory holds every atom its
+    dl-atoms' updates and queries can mention, so o_entails never recompiles
+    it.  No other theory recompiles on this stream either."""
+    from dlbridge.verify import CHECKS, run_suite
+
+    compiles = {"first": 0, "again": 0}
+    compile_ = fol.CompiledTheory._compile
+
+    def counting(self, compiled, formulas):
+        compiles["again" if compiled else "first"] += 1
+        return compile_(self, compiled, formulas)
+
+    monkeypatch.setattr(fol.CompiledTheory, "_compile", counting)
+    monkeypatch.setattr(dleval, "_contexts", {})  # no context of an earlier test
+    results = run_suite(list(CHECKS), count=100, seed=42)
+    assert all(r.ok for r in results)
+    assert compiles["first"] > 500
+    assert compiles["again"] == 0
