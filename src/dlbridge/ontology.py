@@ -178,7 +178,7 @@ class GroundedOntology:
         self.theory = fol.CompiledTheory(
             self.formulas, self.domain, equality=True, atoms=self.atoms
         )
-        # one formula per dl-query, so the theory's memo keys share it
+        # each dl-query's formula, built once
         self._query_formulas = {}
 
 
