@@ -35,6 +35,7 @@ from .semantics import (
     enumerate_answer_sets,
     lfp_gamma,
     strong_transform,
+    tk_operator,
     weak_transform,
 )
 from .syntax import Ontology, RuleAtom, Signature, ValidationError
@@ -152,6 +153,8 @@ def cmd_answersets(args):
                 for r in rules:
                     print(f"%   transform: {serialize_rule(r)}", file=sys.stderr)
                 print(f"%   lfp: {_interp_names(lfp_gamma(rules, ctx))}", file=sys.stderr)
+            elif args.semantics in ("wws", "sws"):
+                _trace_tk_stages(ctx, interp, "reduct" if args.semantics == "wws" else "direct")
     if args.json:
         print(json.dumps([_interp_names(i) for i in answers], indent=2))
     else:
@@ -160,6 +163,19 @@ def cmd_answersets(args):
         if not answers:
             print("(no answer sets)")
     return EXIT_OK
+
+
+def _trace_tk_stages(ctx, interp, mode):
+    """Print T^k(∅,I) for k = 1, 2, ... until the stage repeats; for a
+    well-supported answer set I the last stage is I."""
+    cur, k = frozenset(), 0
+    while True:
+        k += 1
+        nxt = tk_operator(cur, interp, ctx, mode)
+        print(f"%   T^{k}(∅,I): {_interp_names(nxt)}", file=sys.stderr)
+        if nxt == cur:
+            return
+        cur = nxt
 
 
 def cmd_translate(args):

@@ -196,24 +196,26 @@ class ExtensionEngine:
         the candidate refutes.  Stabilizes within #defaults + 1 stages."""
         theory, extras = self._view(candidate)
         extras = frozenset(extras)
+        defaults = self.dt.defaults
         admissible = [
-            d
-            for d in self.dt.defaults
+            i
+            for i, d in enumerate(defaults)
             if all(not theory.entails(extras, neg(b)) for b in d.justifications)
         ]
-        lits, key, fired = [], frozenset(), set()
-        for _ in range(len(self.dt.defaults) + 1):
+        lits, key, fired = [], frozenset(), [False] * len(defaults)
+        for _ in range(len(defaults) + 1):
             new = [
-                d
-                for d in admissible
-                if d not in fired and self.theory.entails(key, d.premise)
+                i
+                for i in admissible
+                if not fired[i] and self.theory.entails(key, defaults[i].premise)
             ]
             if not new:
                 return tuple(lits)
-            for d in new:
-                fired.add(d)
-                if d.conclusion not in lits and d.conclusion not in self.w:
-                    lits.append(d.conclusion)
+            for i in new:
+                fired[i] = True
+                conclusion = defaults[i].conclusion
+                if conclusion not in lits and conclusion not in self.w:
+                    lits.append(conclusion)
             key = frozenset(lits)
         raise AssertionError("gamma iteration failed to stabilize")
 

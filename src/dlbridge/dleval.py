@@ -4,12 +4,16 @@ J |= A for a dl-atom A depends only on J restricted to A's k input
 atoms, so an EvalContext keeps one truth table of 2^k rows per dl-atom,
 filled one o_entails call per row as rows are asked for.  Satisfaction,
 up-to satisfaction and monotonicity all read that table; ProgramMasks
-lifts it to all 2^|HB_P| interpretations at once.
+lifts it to all 2^|HB_P| interpretations at once.  The context also
+compiles each rule over valuation integers (CompiledRule), so that the
+answer-set checks of semantics test masks and read table rows by `gather`.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ontology as onto_mod
 from .fol import AtomUniverse
@@ -23,13 +27,29 @@ class SearchCapExceeded(Exception):
 DEFAULT_PAIR_CAP = 12  # max input atoms per dl-atom for its 2^k-row truth table
 
 
+class CompiledRule(NamedTuple):
+    """A rule over valuation integers: bit i stands for HB atom i."""
+
+    head: int  # the head's bit
+    pos: int  # bits of the positive plain body atoms
+    neg: int  # bits of the negated plain body atoms
+    dls: tuple  # (slot, runs, negated) per dl literal, body order
+
+
 class EvalContext:
-    """Evaluation state for one dl-program."""
+    """Evaluation state for one dl-program.
+
+    Each dl-atom has a slot, its position in program.dl_atoms (atoms from
+    outside the program get the next free ones).  The slot holds the
+    atom's input atoms, their runs (see `gather`) and the atom's truth
+    table, so the compiled rules reach a table without hashing the atom.
+    """
 
     def __init__(self, program: DLProgram, equality_mode="congruence"):
         self.program = program
         self.hb = program.herbrand_base
         self.hb_set = frozenset(self.hb)
+        self.index = {a: i for i, a in enumerate(self.hb)}
         self.grounded = onto_mod.ground(
             program.ontology,
             program.signature,
@@ -37,8 +57,13 @@ class EvalContext:
             dl_atoms=program.dl_atoms,
             constants=program.constants,
         )
-        self._input_atoms = {}
-        self._tables = {}  # dl-atom -> (known, table): rows decided, their values
+        self._slots = {}  # dl-atom -> slot
+        self._dl = []  # slot -> (atom, input atoms in HB order, runs)
+        self._tables = []  # slot -> (known, table): rows decided, their values
+        self._slot_lock = threading.Lock()
+        for atom in program.dl_atoms:
+            self.slot(atom)
+        self.compiled_rules = tuple(self._compile(r) for r in program.rules)
         self._class_cache = {}  # pair cap -> ProgramClass
         self._answer_cache = {}
         self._masks = None
@@ -53,45 +78,116 @@ class EvalContext:
             got = self._masks = ProgramMasks(self)
         return got
 
-    def input_atoms(self, atom: DLAtom):
-        """Ground atoms over the dl-atom's input predicates, HB order."""
-        got = self._input_atoms.get(atom)
+    def slot(self, atom: DLAtom) -> int:
+        """The dl-atom's slot; an atom from outside the program gets a new one."""
+        got = self._slots.get(atom)
         if got is None:
-            preds = dict(atom.input_preds)
-            got = tuple(a for a in self.hb if a.pred in preds and len(a.args) == preds[a.pred])
-            self._input_atoms[atom] = got
+            with self._slot_lock:
+                got = self._slots.get(atom)
+                if got is None:
+                    preds = dict(atom.input_preds)
+                    inputs = tuple(
+                        a for a in self.hb if a.pred in preds and len(a.args) == preds[a.pred]
+                    )
+                    self._dl.append((atom, inputs, _runs([self.index[a] for a in inputs])))
+                    self._tables.append((0, 0))
+                    got = self._slots[atom] = len(self._dl) - 1
         return got
 
+    def _compile(self, rule) -> CompiledRule:
+        pos = neg = 0
+        dls = []
+        for lit in rule.body:
+            if lit.is_dl:
+                slot = self._slots[lit.atom]
+                dls.append((slot, self._dl[slot][2], lit.negated))
+            elif lit.negated:
+                neg |= 1 << self.index[lit.atom]
+            else:
+                pos |= 1 << self.index[lit.atom]
+        return CompiledRule(1 << self.index[rule.head], pos, neg, tuple(dls))
+
+    def valuation(self, interp) -> int:
+        """The valuation integer that makes exactly interp true."""
+        return sum(1 << self.index[a] for a in interp)
+
+    def input_atoms(self, atom: DLAtom):
+        """Ground atoms over the dl-atom's input predicates, HB order."""
+        return self._dl[self.slot(atom)][1]
+
     def dl_satisfies(self, interp, atom: DLAtom) -> bool:
-        inputs = self.input_atoms(atom)
-        s = sum(1 << j for j, a in enumerate(inputs) if a in interp)
-        known, table = self._tables.get(atom, (0, 0))
+        slot = self.slot(atom)
+        s = sum(1 << j for j, a in enumerate(self._dl[slot][1]) if a in interp)
+        return bool(self.dl_row(slot, s))
+
+    def dl_row(self, slot, s) -> int:
+        """Row s of the slot's truth table; a row not decided yet costs one
+        o_entails call."""
+        known, table = self._tables[slot]
         if known >> s & 1:
-            return bool(table >> s & 1)
-        value = self._row(atom, inputs, s)
+            return table >> s & 1
+        value = self._decide(slot, s)
         # one tuple written whole: a racing writer may drop a row, never flip one
-        known, table = self._tables.get(atom, (0, 0))
-        self._tables[atom] = (known | 1 << s, table | value << s)
-        return bool(value)
+        known, table = self._tables[slot]
+        self._tables[slot] = (known | 1 << s, table | value << s)
+        return value
 
     def truth_table(self, atom: DLAtom) -> int:
         """Bit s is the atom's value at input subset s (bit j for input
         atom j); only the rows not decided yet cost an o_entails call."""
-        inputs = self.input_atoms(atom)
-        full = (1 << (1 << len(inputs))) - 1
-        known, table = self._tables.get(atom, (0, 0))
+        return self.dl_table(self.slot(atom))
+
+    def dl_table(self, slot) -> int:
+        """The slot's whole truth table, deciding the missing rows."""
+        known, table = self._tables[slot]
+        size = 1 << len(self._dl[slot][1])
+        full = (1 << size) - 1
         if known != full:
-            for s in range(1 << len(inputs)):
+            for s in range(size):
                 if not known >> s & 1:
-                    table |= self._row(atom, inputs, s) << s
-            self._tables[atom] = (full, table)
+                    table |= self._decide(slot, s) << s
+            self._tables[slot] = (full, table)
         return table
 
-    def _row(self, atom, inputs, s) -> int:
-        """The atom's value at input subset s, by one o_entails call."""
+    def _decide(self, slot, s) -> int:
+        """The slot's value at input subset s, by one o_entails call."""
+        atom, inputs, _ = self._dl[slot]
         restricted = frozenset(a for j, a in enumerate(inputs) if s >> j & 1)
         update = onto_mod.build_update(restricted, atom.inputs, self.program.constants)
         return int(onto_mod.o_entails(self.grounded, update, atom.query))
+
+
+def _runs(indices):
+    """(src, mask, dst) per stretch of consecutive HB indices: row bits
+    dst, dst + 1, ... are valuation bits src, src + 1, ..."""
+    out = []
+    for dst, i in enumerate(indices):
+        if out and out[-1][0] + out[-1][1] == i:
+            out[-1][1] += 1
+        else:
+            out.append([i, 1, dst])
+    return tuple((src, (1 << width) - 1, dst) for src, width, dst in out)
+
+
+def gather(v, runs) -> int:
+    """The truth-table row of valuation v: input bit j is v's bit for the
+    dl-atom's input atom j."""
+    s = 0
+    for src, mask, dst in runs:
+        s |= (v >> src & mask) << dst
+    return s
+
+
+def up_to_rows(table, lo, hi, negated) -> bool:
+    """Every row s with lo ⊆ s ⊆ hi is set (negated: clear) in the table."""
+    free = hi ^ lo
+    sub = free
+    while True:  # every submask of free, free itself first
+        if table >> (lo | sub) & 1 == negated:
+            return False
+        if not sub:
+            return True
+        sub = (sub - 1) & free
 
 
 class ProgramMasks:
@@ -107,7 +203,6 @@ class ProgramMasks:
 
     def __init__(self, ctx: EvalContext):
         universe = AtomUniverse(ctx.hb)
-        self.index = universe.index
         self.full = full = universe.full_mask
         self.atom_columns = tuple(universe.column(i) for i in range(len(ctx.hb)))
         cols = dict(zip(ctx.hb, self.atom_columns))
@@ -124,10 +219,6 @@ class ProgramMasks:
             model &= rule
         self.rules = tuple(rules)
         self.model = model
-
-    def valuation(self, interp) -> int:
-        """The index v of the valuation that makes exactly interp true."""
-        return sum(1 << self.index[a] for a in interp)
 
     def below(self, v) -> int:
         """Mask of the valuations whose true atoms are a subset of v's."""
@@ -217,20 +308,13 @@ def up_to_satisfies(lower, upper, lit: BodyLiteral, program_or_ctx) -> bool:
         raise ValueError("up-to satisfaction needs E ⊆ I")
     if not lit.is_dl:
         return (lit.atom not in upper) if lit.negated else (lit.atom in lower)
-    base = free = 0
+    lo = hi = 0
     for j, a in enumerate(ctx.input_atoms(lit.atom)):
-        if a in lower:
-            base |= 1 << j
-        elif a in upper:
-            free |= 1 << j
-    table = ctx.truth_table(lit.atom)
-    sub = free
-    while True:  # every submask of free, free itself first
-        if table >> (base | sub) & 1 == lit.negated:
-            return False
-        if not sub:
-            return True
-        sub = (sub - 1) & free
+        if a in upper:
+            hi |= 1 << j
+            if a in lower:
+                lo |= 1 << j
+    return up_to_rows(ctx.truth_table(lit.atom), lo, hi, lit.negated)
 
 
 def up_to_satisfies_body(lower, upper, body, ctx) -> bool:

@@ -319,8 +319,6 @@ class AtomUniverse:
     def __init__(self, atoms: Iterable[FAtom]):
         self.atoms = tuple(dict.fromkeys(atoms))
         self.index = {a: i for i, a in enumerate(self.atoms)}
-        if len(self.index) != len(self.atoms):
-            raise ValueError("duplicate atoms in universe")
         self._atom_set = frozenset(self.atoms)
         self._cols = {}
         self._masks = {}

@@ -1,20 +1,22 @@
 """Brute-force oracles that the engine's fast paths are checked against.
 
-The plain candidate sweep tries every subset of HB_P, and FLP minimality
-tries every proper subset of the candidate; neither uses the program's
-truth columns.  The pair sweep decides dl-atom monotonicity over all 3^k
-nested pairs of input subsets, and up-to satisfaction tries every F
-between E and I; both ask dl_satisfies row by row, never the truth
-table whole.  The generating-set extension search tries every subset of
-the defaults, and decides each on a theory with no compiled W.  The
-quotient-model check decides true-equality entailment by collapsing the
-domain under every equivalence relation, with no congruence axioms.
+The plain candidate sweep tries every subset of HB_P and decides each by
+the set-based definitions (transforms, reducts, lfp and T iteration),
+and FLP minimality tries every proper subset of the candidate; neither
+uses the program's truth columns or the compiled rules.  The pair sweep
+decides dl-atom monotonicity over all 3^k nested pairs of input subsets,
+and up-to satisfaction tries every F between E and I; both ask
+dl_satisfies row by row, never the truth table whole.  The
+generating-set extension search tries every subset of the defaults, and
+decides each on a theory with no compiled W.  The quotient-model check
+decides true-equality entailment by collapsing the domain under every
+equivalence relation, with no congruence axioms.
 """
 
 from itertools import combinations
 
 from dlbridge.defaults import ExtensionCandidate
-from dlbridge.dleval import AtomMonotonicity, as_context, satisfies_body
+from dlbridge.dleval import AtomMonotonicity, as_context, is_model, satisfies_body
 from dlbridge.fol import (
     EQ,
     FALSE,
@@ -37,7 +39,13 @@ from dlbridge.fol import (
     implies,
     neg,
 )
-from dlbridge.semantics import flp_reduct, is_answer_set
+from dlbridge.semantics import (
+    flp_reduct,
+    lfp_gamma,
+    strong_transform,
+    tk_lfp,
+    weak_transform,
+)
 
 
 def plain_candidates(hb):
@@ -71,11 +79,28 @@ def flp_by_subsets(program_or_ctx, interp):
     )
 
 
-def sweep_answer_sets(program_or_ctx, kind):
-    """Answer sets by the plain 2^|HB| sweep, FLP by its subset oracle."""
+def answer_set_by_definition(program_or_ctx, interp, kind):
+    """I is an answer set of the kind, decided on sets: the least fixpoint
+    of the strong or weak transform, the T iteration for wws (on the
+    negation reduct) and sws (on full bodies), FLP by its subset oracle."""
     ctx = as_context(program_or_ctx)
-    check = flp_by_subsets if kind == "flp" else lambda c, i: is_answer_set(c, i, kind)
-    return tuple(i for i in plain_candidates(ctx.hb) if check(ctx, i))
+    interp = frozenset(interp)
+    if kind == "strong":
+        return lfp_gamma(strong_transform(ctx, interp), ctx) == interp
+    if kind == "weak":
+        return lfp_gamma(weak_transform(ctx, interp), ctx) == interp
+    if kind == "flp":
+        return flp_by_subsets(ctx, interp)
+    mode = {"wws": "reduct", "sws": "direct"}[kind]
+    return is_model(interp, ctx) and tk_lfp(interp, ctx, mode) == interp
+
+
+def sweep_answer_sets(program_or_ctx, kind):
+    """Answer sets by the plain 2^|HB| sweep, each decided by definition."""
+    ctx = as_context(program_or_ctx)
+    return tuple(
+        i for i in plain_candidates(ctx.hb) if answer_set_by_definition(ctx, i, kind)
+    )
 
 
 def _subsets(items):

@@ -216,6 +216,34 @@ def test_answersets_trace_counts_models_of_p(tmp_path, capsys):
     assert "% candidates: 2 models of P out of 2^1" in err
 
 
+def test_answersets_trace_prints_t_stages(tmp_path, capsys):
+    import programs
+    from dlbridge import fol
+    from dlbridge.parser import serialize_ontology, serialize_program
+
+    prog = programs.neg_constraint()
+    (tmp_path / "n.onto").write_text(serialize_ontology(prog.ontology))
+    (tmp_path / "n.dlp").write_text(serialize_program(prog, ontology_ref="n.onto"))
+    err = {}
+    try:
+        for kind in ("wws", "sws"):
+            argv = ["answersets", "--semantics", kind, "--trace", str(tmp_path / "n.dlp")]
+            assert main(argv) == 0
+            lines = capsys.readouterr().err.splitlines()
+            err[kind] = [l for l in lines if "answer set" in l or "T^" in l]
+    finally:
+        fol.DEBUG_CROSSCHECK = False
+    # {p(a)} is weakly well-supported: P^I keeps p(a) as a fact, so T^1 derives it
+    assert err["wws"] == [
+        "% answer set 0: []",
+        "%   T^1(∅,I): []",
+        "% answer set 1: ['p(a)']",
+        "%   T^1(∅,I): ['p(a)']",
+        "%   T^2(∅,I): ['p(a)']",
+    ]
+    assert err["sws"] == ["% answer set 0: []", "%   T^1(∅,I): []"]
+
+
 def test_parse_flags_negated_role_queries(workdir, capsys):
     (workdir / "roles.onto").write_text("role R.\nconcept C.\nindividual a, b.\n")
     (workdir / "roles.dlp").write_text(

@@ -6,11 +6,17 @@ import pytest
 
 import programs
 from conftest import answer_names
-from oracles import flp_by_subsets, plain_candidates, sweep_answer_sets
+from oracles import (
+    answer_set_by_definition,
+    flp_by_subsets,
+    plain_candidates,
+    sweep_answer_sets,
+)
+from test_dleval import _count_entailments, _fourteen_inputs
 from dlbridge import semantics
 from dlbridge.dleval import EvalContext, get_context, is_model
 from dlbridge.generator import GeneratorConfig, instance_stream
-from dlbridge.parser import parse_program, serialize_program, serialize_rule
+from dlbridge.parser import parse_ontology, parse_program, serialize_program, serialize_rule
 from dlbridge.semantics import (
     SEMANTICS,
     HerbrandCapExceeded,
@@ -164,13 +170,14 @@ def test_tk_lfp_rejects_non_models():
 
 
 def test_well_supported_candidates_are_model_checked_once(monkeypatch):
+    # the model bit of each candidate already decides I |= P, so the
+    # enumeration never goes through the set-based is_model
     real, calls = semantics.is_model, []
     monkeypatch.setattr(semantics, "is_model", lambda i, c: calls.append(i) or real(i, c))
     for kind in ("wws", "sws"):
         ctx = EvalContext(programs.neg_constraint())
-        calls.clear()
-        enumerate_answer_sets(ctx, kind)
-        assert len(calls) == len(semantics._models(ctx)) > 0
+        assert enumerate_answer_sets(ctx, kind) and semantics._models(ctx)
+        assert calls == []
 
 
 def test_wws_sws_golden():
@@ -248,7 +255,7 @@ def test_model_mask_and_flp_minimality_match_oracles():
     for ctx in _oracle_contexts():
         masks = ctx.masks
         for interp in plain_candidates(ctx.hb):
-            is_model_bit = bool(masks.model >> masks.valuation(interp) & 1)
+            is_model_bit = bool(masks.model >> ctx.valuation(interp) & 1)
             assert is_model_bit == is_model(interp, ctx), serialize_program(ctx.program)
             if is_model_bit:
                 models += 1
@@ -257,6 +264,55 @@ def test_model_mask_and_flp_minimality_match_oracles():
                     serialize_program(ctx.program), sorted(map(str, interp)))
                 flp += expected
     assert models > 1000 and flp > 100
+
+
+def test_bit_checks_match_the_set_definitions():
+    # on every interpretation of HB, models of P or not, the compiled-rule
+    # checks give what the transforms, reducts and T iteration on sets give
+    checked = accepted = 0
+    for ctx in _oracle_contexts():
+        if len(ctx.hb) > 6:
+            continue
+        for interp in plain_candidates(ctx.hb):
+            for kind in ("weak", "strong", "wws", "sws"):
+                expected = answer_set_by_definition(ctx, interp, kind)
+                assert is_answer_set(ctx, interp, kind) == expected, (
+                    kind, serialize_program(ctx.program), sorted(map(str, interp)))
+                checked += 1
+                accepted += expected
+    assert checked > 9000 and accepted > 1000
+
+
+def test_single_checks_at_forty_atoms_build_no_masks():
+    # twenty blocks p :- not DL[S ?= p ; !S], q :- DL[S += p ; Sp]: each
+    # dl-atom has one input atom, so the checks stay small while a mask
+    # over 2^40 valuations could not be built
+    rules = []
+    for i in range(20):
+        rules.append(f"p{i}(a) :- not DL[S ?= p{i} ; !S](a).")
+        rules.append(f"q{i}(a) :- DL[S += p{i} ; Sp](a).")
+    prog = parse_program("\n".join(rules), ontology=parse_ontology(programs.INCLUSION_ONTO))
+    ctx = EvalContext(prog)
+    assert len(ctx.hb) == 40
+    half = frozenset(a for a in ctx.hb if a.pred[1:] in map(str, range(10)))
+    for interp in (frozenset(), ctx.hb_set, half):
+        for kind in ("weak", "strong", "wws", "sws"):
+            assert is_answer_set(ctx, interp, kind) == answer_set_by_definition(
+                ctx, interp, kind)
+    assert is_answer_set(ctx, ctx.hb_set, "wws") and not is_answer_set(ctx, ctx.hb_set, "sws")
+    assert ctx._masks is None
+
+
+def test_weak_check_decides_rows_lazily(monkeypatch):
+    # wP^I needs the dl-atom's row at I only, not its 2^14-row table
+    prog = _fourteen_inputs()
+    ctx = EvalContext(prog)
+    inputs = ctx.input_atoms(prog.dl_atoms[0])
+    calls = _count_entailments(monkeypatch)
+    interp = {RuleAtom("p", ("b",))} | set(inputs[::3])
+    assert not is_answer_set(ctx, interp, "weak")
+    assert len(calls) == 1
+    assert ctx._masks is None
 
 
 def test_interpretation_outside_hb_rejected():
