@@ -36,6 +36,9 @@ class CompiledRule(NamedTuple):
     dls: tuple  # (slot, runs, negated) per dl literal, body order
 
 
+_slot_lock = threading.Lock()  # new slots are rare: atoms from outside a program
+
+
 class EvalContext:
     """Evaluation state for one dl-program.
 
@@ -60,7 +63,6 @@ class EvalContext:
         self._slots = {}  # dl-atom -> slot
         self._dl = []  # slot -> (atom, input atoms in HB order, runs)
         self._tables = []  # slot -> (known, table): rows decided, their values
-        self._slot_lock = threading.Lock()
         for atom in program.dl_atoms:
             self.slot(atom)
         self.compiled_rules = tuple(self._compile(r) for r in program.rules)
@@ -82,7 +84,7 @@ class EvalContext:
         """The dl-atom's slot; an atom from outside the program gets a new one."""
         got = self._slots.get(atom)
         if got is None:
-            with self._slot_lock:
+            with _slot_lock:
                 got = self._slots.get(atom)
                 if got is None:
                     preds = dict(atom.input_preds)

@@ -10,8 +10,7 @@ these definitions out; `is_answer_set` decides the same questions on
 valuation integers over EvalContext.compiled_rules: a reduct is a mask
 test at I's valuation v, a fixpoint iterates an integer, and a dl literal
 reads the row of its truth table that the current integer selects
-(dleval.gather).
-FLP answer sets go through the program's truth columns
+(dleval.gather).  FLP answer sets go through the program's truth columns
 (dleval.ProgramMasks), which decide both I |= fP^I and its minimality.
 Every answer set of each kind is a model of P, so enumeration checks only
 the set bits of the model mask of P, not all 2^|HB_P| interpretations.
@@ -240,7 +239,7 @@ def _well_supported(ctx, v, reduct) -> bool:
     rules = []
     for head, pos, neg, dls in ctx.compiled_rules:
         if neg & v or head & ~v:
-            continue  # false up to (E, I): an atom of I under not, or, as I |= P, a body
+            continue  # never fires: a negated atom is in I, or the head is outside the model I
         if reduct:
             if any(row(slot, gather(v, runs)) for slot, runs, negated in dls if negated):
                 continue  # dropped from P^I
