@@ -170,8 +170,8 @@ def test_tk_lfp_rejects_non_models():
 
 
 def test_well_supported_candidates_are_model_checked_once(monkeypatch):
-    # the model bit of each candidate already decides I |= P, so the
-    # enumeration never goes through the set-based is_model
+    # candidates are set bits of the model mask, and the bit-level check
+    # tests I |= P on the compiled rules: the set-based is_model never runs
     real, calls = semantics.is_model, []
     monkeypatch.setattr(semantics, "is_model", lambda i, c: calls.append(i) or real(i, c))
     for kind in ("wws", "sws"):
