@@ -2,8 +2,10 @@
 
 encode() produces the four translations:
 
-  tau             W = grounded O plus its congruence axioms; one default
-                  per rule with τ-translated dl-atoms.
+  tau             W = grounded O plus its congruence axioms 𝒜_O, from
+                  fol.congruence_axioms over the atoms that the ontology's
+                  theory is compiled over; one default per rule with
+                  τ-translated dl-atoms.
   tau_prime       W = ∅; the ontology is folded into each dl-atom formula
                   and equality stays true equality.
   tau_star        tau plus a closed-world default :¬p(c)/¬p(c) per
@@ -60,13 +62,8 @@ def rule_atom_formula(a: RuleAtom):
 
 def _pair_formula(pair, constants):
     """τ(S op p): implications over every p(c) in the Herbrand base."""
-    tuples = (
-        [(c,) for c in constants]
-        if pair.arity == 1
-        else [(c, d) for c in constants for d in constants]
-    )
     parts = []
-    for tup in tuples:
+    for tup in fol.ground_tuples(constants, pair.arity):
         p_atom = Atom(FAtom(pair.pred, tup))
         s_lit = Atom(FAtom(pair.target, tup))
         if pair.negated:
@@ -96,18 +93,17 @@ def _rule_default(rule, ctx, fold_ontology):
     return Default(premise, justs, rule_atom_formula(rule.head))
 
 
-def ontology_predicates(ctx):
-    """(name, arity) pairs occurring in the ontology's grounded axioms."""
-    return {
-        p for p in fol.predicates_of(ctx.grounded.formulas) if p[0] != fol.EQ and p[1] > 0
-    }
-
-
 def tau_background(ctx):
-    """τ(O): the grounded ontology plus its congruence axioms 𝒜_O."""
-    domain = ctx.grounded.domain
-    eq = fol.eq_axioms(domain, ontology_predicates(ctx)) if domain else []
-    return tuple(ctx.grounded.formulas) + tuple(eq)
+    """τ(O): the grounded ontology plus its congruence axioms 𝒜_O.
+
+    𝒜_O covers every predicate of the atoms that the ontology's theory is
+    compiled over (its axioms, the dl-atom input targets and the query
+    atoms), as the ontology side does, but is emitted even when no ==
+    occurs.
+    """
+    g = ctx.grounded
+    eq = fol.congruence_axioms(g.theory.atoms, g.domain) if g.domain else []
+    return tuple(g.formulas) + tuple(eq)
 
 
 def _cwa_defaults(ctx):

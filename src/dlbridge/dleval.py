@@ -48,7 +48,7 @@ class EvalContext:
     table, so the compiled rules reach a table without hashing the atom.
     """
 
-    def __init__(self, program: DLProgram, equality_mode="congruence"):
+    def __init__(self, program: DLProgram):
         self.program = program
         self.hb = program.herbrand_base
         self.hb_set = frozenset(self.hb)
@@ -56,7 +56,6 @@ class EvalContext:
         self.grounded = onto_mod.ground(
             program.ontology,
             program.signature,
-            equality_mode=equality_mode,
             dl_atoms=program.dl_atoms,
             constants=program.constants,
         )

@@ -39,8 +39,12 @@ Equality is *not* built in.  A CompiledTheory built with `equality=True`
 adds congruence axioms (`congruence_axioms`, Fitting's reduction:
 replacement for every predicate present) as soon as an == atom occurs in
 its universe; `entails_true_equality` is that path on a throwaway
-instance.  The tests re-decide the same question by enumerating
-equivalence-relation quotients of the domain, as an independent oracle.
+instance.  `congruence_axioms` is the only code that turns atoms into the
+set of predicates that get replacement axioms; τ's 𝒜_O
+(`defaults.tau_background`) calls it too, over the atoms that the grounded
+ontology's theory is first compiled over.  The tests re-decide the same
+question by enumerating equivalence-relation quotients of the domain, as
+an independent oracle.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, count
+from itertools import chain, count, product
 from operator import itemgetter
 from typing import Iterable
 
@@ -301,11 +305,6 @@ def implies(a, b):
 def atoms_of(formulas):
     """The atoms of the formulas, in first-occurrence order."""
     return list(dict.fromkeys(chain.from_iterable(f.atoms for f in formulas)))
-
-
-def predicates_of(formulas):
-    """(name, arity) pairs of every predicate occurring in the formulas."""
-    return {(a.name, len(a.args)) for a in atoms_of(formulas)}
 
 
 class AtomUniverse:
@@ -724,7 +723,8 @@ class CompiledTheory:
         self.background = tuple(background)
         self.domain = domain
         self.equality = equality
-        self.atoms = tuple(atoms)  # in the universe from the first compile on
+        # the first compile's atoms: the background's, then those given
+        self.atoms = (*atoms_of(self.background), *atoms)
         self._compiled = None  # (axioms, universe, mask or ClauseBase)
         self._memo = {}
 
@@ -742,10 +742,10 @@ class CompiledTheory:
         return not self.entails(extra, FALSE)
 
     def _compile(self, compiled, formulas):
-        known = compiled[1].atoms if compiled else [*atoms_of(self.background), *self.atoms]
+        known = compiled[1].atoms if compiled else self.atoms
         atoms = [*known, *atoms_of(formulas)]
         axioms = list(self.background)
-        if self.equality:
+        if self.equality and any(a.name == EQ for a in atoms):  # no ==, no axioms needed
             axioms += congruence_axioms(atoms, self.domain)
         universe = universe_for(axioms, atoms)
         if len(universe) <= AUTO_SWEEP_LIMIT:
@@ -803,25 +803,24 @@ def eq_axioms(domain, predicates):
     for name, arity in preds:
         if arity == 0:
             continue
-        for xs in _tuples(domain, arity):
-            for ys in _tuples(domain, arity):
+        for xs in ground_tuples(domain, arity):
+            for ys in ground_tuples(domain, arity):
                 pre = conj([eq_atom(x, y) for x, y in zip(xs, ys)])
                 out.append(implies(pre, implies(atom(name, *xs), atom(name, *ys))))
     return out
 
 
-def _tuples(domain, arity):
-    if arity == 1:
-        return [(d,) for d in domain]
-    return [(d, e) for d in domain for e in domain]
+def ground_tuples(domain, arity):
+    """Every arity-tuple over the domain, the last position varying fastest."""
+    return list(product(domain, repeat=arity))
 
 
 def congruence_axioms(atoms, domain=None):
-    """`eq_axioms` for every predicate among the atoms, or none when no ==
-    atom occurs.  The domain defaults to the constants of the atoms."""
+    """`eq_axioms` for every predicate among the atoms.  This is the one
+    place that picks the predicates that get replacement axioms: a
+    CompiledTheory with `equality` and τ's 𝒜_O both come here.  The domain
+    defaults to the constants of the atoms."""
     atoms = list(atoms)
-    if not any(a.name == EQ for a in atoms):
-        return []
     if not domain:
         domain = dict.fromkeys(c for a in atoms for c in a.args)
     return eq_axioms(domain, {(a.name, len(a.args)) for a in atoms if a.name != EQ and a.args})

@@ -5,9 +5,8 @@ GroundFormulas; dl-queries are answered classically by the fo-kernel,
 through one fol.CompiledTheory per grounded ontology.  That theory reads
 == through replacement axioms for every predicate it has seen (which, over
 the pure DL language, coincides with true equality by Fitting's theorem),
-materialized only once the ontology or a call mentions ==.  Both equality
-modes answer entailment this way; "true-equality" also keeps == atoms live
-in the grounding of one-of concepts and number restrictions.
+materialized only once the ontology or a call mentions ==.  τ's 𝒜_O
+(`defaults.tau_background`) covers the predicates of the same universe.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from .syntax import (
     Role,
     RoleAssertion,
     RoleInclusion,
+    RuleAtom,
     Transitivity,
 )
 
@@ -170,7 +170,6 @@ def _ontology_mentions_eq(onto: Ontology):
 class GroundedOntology:
     formulas: list
     domain: tuple
-    equality_mode: str  # "congruence" | "true-equality"
     eq_live: bool
     atoms: tuple = ()  # in the theory's universe from its first compile on
 
@@ -182,9 +181,7 @@ class GroundedOntology:
         self._query_formulas = {}
 
 
-def ground(
-    onto: Ontology, signature=None, equality_mode="congruence", dl_atoms=(), constants=()
-) -> GroundedOntology:
+def ground(onto: Ontology, signature=None, dl_atoms=(), constants=()) -> GroundedOntology:
     """Ground every axiom over the closed domain of declared individuals.
 
     The theory's universe also holds every atom that an update of one of
@@ -195,17 +192,18 @@ def ground(
     domain = tuple(sig.declared_individuals)
     if onto.axioms and not domain:
         raise GroundingError("cannot ground axioms over an empty domain")
-    eq_live = _ontology_mentions_eq(onto) or equality_mode == "true-equality"
+    eq_live = _ontology_mentions_eq(onto)
     formulas = []
     for ax in onto.axioms:
         formulas.extend(f for f in axiom_formulas(ax, domain, eq_live) if f is not TRUE)
     queries = {a.query: _query_formula(a.query, domain, eq_live) for a in dl_atoms}
     targets = [
-        FAtom(p.target, tup) for a in dl_atoms for p in a.inputs for tup in _tuples(constants, p.arity)
+        FAtom(p.target, tup)
+        for a in dl_atoms
+        for p in a.inputs
+        for tup in fol.ground_tuples(constants, p.arity)
     ]
-    g = GroundedOntology(
-        formulas, domain, equality_mode, eq_live, (*targets, *fol.atoms_of(queries.values()))
-    )
+    g = GroundedOntology(formulas, domain, eq_live, (*targets, *fol.atoms_of(queries.values())))
     g._query_formulas.update(queries)
     return g
 
@@ -252,26 +250,14 @@ def build_update(interp, inputs, constants):
     """
     out = []
     for pair in inputs:
-        for tup in _tuples(constants, pair.arity):
-            present = _ratom(pair.pred, tup) in interp
+        for tup in fol.ground_tuples(constants, pair.arity):
+            present = RuleAtom(pair.pred, tup) in interp
             target = FAtom(pair.target, tup)
             if pair.op == OP_PLUS and present:
                 out.append((target, not pair.negated))
             elif pair.op == OP_MINUS and not present:
                 out.append((target, pair.negated))
     return frozenset(out)
-
-
-def _tuples(constants, arity):
-    if arity == 1:
-        return [(c,) for c in constants]
-    return [(c, d) for c in constants for d in constants]
-
-
-def _ratom(pred, args):
-    from .syntax import RuleAtom
-
-    return RuleAtom(pred, tuple(args))
 
 
 def o_entails(g: GroundedOntology, update, query: DLQuery):

@@ -58,7 +58,7 @@ class TransformResult:
         return None
 
 
-def _rewrite_minus(atom: DLAtom, comp_pred, fresh, symbol_map) -> DLAtom:
+def _rewrite_minus(atom: DLAtom, comp_pred) -> DLAtom:
     """Replace every "S ?= p" with "S -= <complement(p)>" (an ⊙ pair)."""
     pairs = []
     for p in atom.inputs:
@@ -123,7 +123,7 @@ def _pi_like(program_or_ctx, rewrite_all: bool, proxy_prefix="__pi_dl_") -> Tran
             for p in atom.inputs:
                 if p.op == OP_MINUS:
                     minus_preds.setdefault((p.pred, p.arity), None)
-            rewritten = _rewrite_minus(atom, comp_pred, fresh, symbol_map)
+            rewritten = _rewrite_minus(atom, comp_pred)
             if lit.negated:
                 body.append(BodyLiteral(True, rewritten))
             else:

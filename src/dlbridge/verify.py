@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from .defaults import ExtensionEngine, encode, rule_atom_formula
 from .dleval import SearchCapExceeded, classify, get_context
-from .fol import UniverseTooLarge, neg
+from .fol import neg
 from .generator import GeneratorConfig, instance_stream
 from .ontology import o_consistent
 from .parser import serialize_program
@@ -56,7 +56,7 @@ class Skip(Exception):
 
 
 # resource caps: an instance that hits one is reported as a capped skip
-CAP_ERRORS = (HerbrandCapExceeded, SearchCapExceeded, UniverseTooLarge)
+CAP_ERRORS = (HerbrandCapExceeded, SearchCapExceeded)
 
 
 def _extension_interps(dt, hb):
@@ -130,29 +130,17 @@ def check_T5(ctx):
     """tau captures strong answer sets (consistent O; via pi when DL? ≠ ∅)."""
     if not o_consistent(ctx.grounded):
         raise Skip("needs a consistent ontology")
-    if classify(ctx).report.nonmonotonic_atoms:
-        res = pi(ctx)
-        base = get_context(res.program)
-        lift = lambda i: lift_pi(i, ctx, res)
-    else:
-        base = ctx
-        lift = lambda i: i
-    dt = _quiet_encode(base, "tau")
-    interps, eng = _extension_interps(dt, base.hb)
-    direct = enumerate_answer_sets(ctx, "strong")
-    lifted = [lift(i) for i in direct]
-    ok = _sets_equal(lifted, interps)
-    if ok:
-        for i in lifted:
-            cand = tuple(rule_atom_formula(a) for a in sorted(i, key=str))
-            if not eng.is_extension(cand):
-                ok = False
-                break
-    return ok, {"strong": _interp_strs(direct), "extension_interps": _interp_strs(interps)}
+    return _strong_by_extensions(ctx, "tau")
 
 
 def check_T6(ctx):
     """tau_prime captures strong answer sets for arbitrary ontologies."""
+    return _strong_by_extensions(ctx, "tau_prime")
+
+
+def _strong_by_extensions(ctx, kind):
+    """Strong answer sets against the extensions of the `kind` encoding,
+    taken of pi(K) when K has nonmonotonic dl-atoms."""
     if classify(ctx).report.nonmonotonic_atoms:
         res = pi(ctx)
         base = get_context(res.program)
@@ -160,7 +148,7 @@ def check_T6(ctx):
     else:
         base = ctx
         lift = lambda i: i
-    dt = _quiet_encode(base, "tau_prime")
+    dt = _quiet_encode(base, kind)
     interps, eng = _extension_interps(dt, base.hb)
     direct = enumerate_answer_sets(ctx, "strong")
     lifted = [lift(i) for i in direct]
@@ -366,8 +354,7 @@ def _smaller(program):
         yield DLProgram(program.ontology, program.rules[:i] + program.rules[i + 1 :])
     for c in program.constants:
         keep = tuple(
-            r for r in program.rules
-            if c not in serialize_program(DLProgram(program.ontology, (r,)))
+            r for r in program.rules if c not in DLProgram(program.ontology, (r,)).constants
         )
         if len(keep) < len(program.rules):
             yield DLProgram(program.ontology, keep)

@@ -20,10 +20,13 @@ from dlbridge.defaults import (
 )
 from dlbridge.dleval import get_context
 from dlbridge.fol import Atom, FAtom, TRUE, TheoryRep, atom, conj, implies, neg
-from dlbridge.generator import GeneratorConfig, instance_stream
+from dlbridge.generator import GeneratorConfig, generate_program, instance_stream
 from dlbridge.ontology import ground, o_entails
+from dlbridge.parser import parse_ontology, parse_program
 from dlbridge.semantics import enumerate_answer_sets
 from dlbridge.syntax import Default, DefaultTheory, RuleAtom
+from dlbridge.transforms import sigma
+from dlbridge.verify import run_check
 from oracles import BareExtensionOracle, extensions_by_generating_sets
 
 PA = RuleAtom("p", ("a",))
@@ -78,6 +81,38 @@ def test_tau_background_includes_congruence_axioms():
     w = tau_background(ctx)
     assert implies(atom("S", "a"), atom("Sp", "a")) in w
     assert fol.eq_atom("a", "a") in w  # reflexivity from the congruence block
+
+
+def _dl_only_concept_under_equality():
+    """S1 occurs only in a dl-atom; a == b carries ¬S1(a) to ¬S1(b)."""
+    onto = parse_ontology("concept S1.\nindividual a, b.\naxiom a == b.\n")
+    return parse_program(
+        "p(a) :- not __sigma_dl_1.\n__sigma_dl_1 :- not DL[S1 -= p ; !S1](b).",
+        ontology=onto,
+    )
+
+
+def test_tau_congruence_covers_concepts_only_dl_atoms_mention():
+    # 𝒜_O takes its predicates from the ontology theory's universe, so it
+    # links S1(a) with S1(b), and tau finds the strong answer set {p(a)}
+    prog = _dl_only_concept_under_equality()
+    assert answer_names(enumerate_answer_sets(prog, "strong")) == [["__sigma_dl_1"], ["p(a)"]]
+    w = tau_background(get_context(prog))
+    a_eq_b = fol.eq_atom("a", "b")
+    assert implies(a_eq_b, implies(atom("S1", "a"), atom("S1", "b"))) in w
+    hb = prog.herbrand_base
+    want = [["__sigma_dl_1"], ["p(a)"]]
+    assert ext_interps(quiet_encode(prog, "tau"), hb) == want
+    assert ext_interps(quiet_encode(prog, "tau_prime"), hb) == want
+    for cid in ("T5", "T8"):
+        assert run_check(cid, prog).ok, cid
+
+
+def test_tau_and_tau_star_pass_on_sigma_of_seed_42_instance_237():
+    # the instance where the old predicate set of 𝒜_O made T5 and T8 fail
+    prog = sigma(generate_program(GeneratorConfig(seed=42 * 1_000_003 + 237))).program
+    for cid in ("T5", "T8"):
+        assert run_check(cid, prog).ok, cid
 
 
 def test_tau_unique_extension_on_self_support():

@@ -264,6 +264,13 @@ def test_clause_base_path_matches_the_sweep_on_seed_42(monkeypatch):
     assert based and all(based)
 
 
+def test_shrink_matches_a_constant_on_arguments_not_on_text():
+    # dropping a must keep hat(b), whose name contains the letter a
+    prog = parse_program("p(a).\nhat(b).")
+    by_constant = list(verify._smaller(prog))[len(prog.rules):]
+    assert [c.rules for c in by_constant] == [prog.rules[1:], prog.rules[:1]]
+
+
 def test_report_table_shape():
     results = [
         CheckResult("T3", "x", True),
